@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from stats import Series
 from tracer import Tracer, layer_metrics
 from workloads import Inputs
 
@@ -48,7 +47,7 @@ class _Session:
         shape = inputs.shape
         self.specs = {name: registry.get(name) for name in shape.ops}
         self.ops = {name: spec.build() for name, spec in self.specs.items()}
-        self.queries = Series()
+        self.query_ms: list[float] = []
         self._turn = 0
         self.driver = MinibatchDriver(
             self.ops, query_every=shape.query_every, queries={"probe": self._probe}
@@ -59,7 +58,7 @@ class _Session:
         self._turn += 1
         t0 = time.perf_counter()
         result = self.specs[name].probe(self.ops[name])
-        self.queries.add(t0, (time.perf_counter() - t0) * 1e3)
+        self.query_ms.append((time.perf_counter() - t0) * 1e3)
         return result
 
 
@@ -87,25 +86,21 @@ def _window(inputs: Inputs, seconds: float, tracer: Tracer | None, repeats: int)
     for k in range(WARMUP_BATCHES):
         session.driver.run(pool[k % len(pool)].copy(), shape.batch)
         fed.append(k % len(pool))
-    session.queries = Series()
+    session.query_ms.clear()
     if tracer is not None:
         tracer.start_window()
-    acks, ingested = Series(), Series()
+    ack_ms = []
     t_start = time.perf_counter()
     t_end = t_start + seconds
     i = len(fed)
     now = t_start
     while now < t_end:
-        prev = now
         k = i % len(pool)
         batch = pool[k].copy()  # a fresh array, as a caller's new batch is
         t0 = time.perf_counter()
         session.driver.run(batch, shape.batch)
         now = time.perf_counter()
-        acks.add(t0, (now - t0) * 1e3)
-        # Spans tile the window: each cycle runs from the previous
-        # batch's return to this one's.
-        ingested.add(t0, len(batch), now - prev)
+        ack_ms.append((now - t0) * 1e3)
         fed.append(k)
         i += 1
     trace = tracer.snapshot() if tracer is not None else None
@@ -115,7 +110,7 @@ def _window(inputs: Inputs, seconds: float, tracer: Tracer | None, repeats: int)
     # everything it ingested, and nothing lost by the driver.
     stream = np.concatenate([pool[k] for k in fed])
     plan = SimpleNamespace(universe=shape.universe)
-    attempted, failed, errors = len(acks) + len(session.queries), 0, []
+    attempted, failed, errors = len(ack_ms) + len(session.query_ms), 0, []
     attempted += 1
     if session.driver.total_items() != len(stream):
         failed += 1
@@ -128,11 +123,11 @@ def _window(inputs: Inputs, seconds: float, tracer: Tracer | None, repeats: int)
             errors.append(f"{name}: {violations[0]}")
     return {
         "tally": SimpleNamespace(attempted=attempted, failed=failed, errors=errors, lateness_ms=[]),
-        "items_per_s": ingested.rate(t_start, seconds),
-        "query_p50_ms": session.queries.percentile(t_start, seconds, 50),
-        "query_p90_ms": session.queries.percentile(t_start, seconds, 90),
-        "ingest_ack_p50_ms": acks.percentile(t_start, seconds, 50),
-        "samples": {"queries": len(session.queries), "acks": len(acks)},
+        "items_per_s": len(ack_ms) * shape.batch / (now - t_start),
+        "query_p50_ms": float(np.percentile(session.query_ms, 50)),
+        "query_p90_ms": float(np.percentile(session.query_ms, 90)),
+        "ingest_ack_p50_ms": float(np.percentile(ack_ms, 50)),
+        "samples": {"queries": len(session.query_ms), "acks": len(ack_ms)},
         "setup_s": setup_times,
         "peak_rss_mb": rss,
         "trace": trace,

@@ -29,7 +29,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from stats import Series
 from tracer import layer_metrics
 from workloads import Inputs, Shape, tenant_name
 
@@ -178,11 +177,9 @@ class Tally:
     attempted: int = 0
     failed: int = 0
     errors: list[str] = field(default_factory=list)
-    #: QUERY and INGEST latency (ms) by due (open loop) or send time.
-    queries: Series = field(default_factory=Series)
-    acks: Series = field(default_factory=Series)
-    #: Closed loop: items acknowledged, spanning send-to-ack cycles.
-    ingested: Series = field(default_factory=Series)
+    #: QUERY and INGEST latency (ms) from due (open loop) or send time.
+    query_ms: list[float] = field(default_factory=list)
+    ack_ms: list[float] = field(default_factory=list)
     lateness_ms: list[float] = field(default_factory=list)
     acked_items: int = 0
     last_ack: float = 0.0
@@ -246,10 +243,8 @@ async def _closed_loop(conn: Conn, payloads: list[bytes], sizes: list[int], t_en
     """INGEST pool batches back to back until ``t_end``."""
     acked = tally.acked.setdefault(0, [])
     i = 0
-    now = time.perf_counter()
-    while now < t_end:
+    while time.perf_counter() < t_end:
         k = i % len(payloads)
-        prev = now
         t0 = time.perf_counter()
         tally.attempted += 1
         conn.writer.write(payloads[k])
@@ -261,10 +256,9 @@ async def _closed_loop(conn: Conn, payloads: list[bytes], sizes: list[int], t_en
         elif json.loads(line[3:]).get("accepted") != sizes[k]:
             tally.fail("INGEST not fully accepted")
         else:
-            tally.acks.add(t0, (now - t0) * 1e3)
-            # Spans tile the window: previous ack to this ack.
-            tally.ingested.add(t0, sizes[k], now - prev)
+            tally.ack_ms.append((now - t0) * 1e3)
             tally.acked_items += sizes[k]
+            tally.last_ack = now
             acked.append(k)
         i += 1
 
@@ -274,7 +268,7 @@ def _on_query(tally: Tally, op: str):
         if json.loads(line[3:]).get("op") != op:
             tally.fail(f"QUERY {op} answered for another operator")
             return
-        tally.queries.add(due, (now - due) * 1e3)
+        tally.query_ms.append((now - due) * 1e3)
     return done
 
 
@@ -283,7 +277,7 @@ def _on_ingest(tally: Tally, tenant: int, index: int, size: int):
         if json.loads(line[3:]).get("accepted") != size:
             tally.fail(f"INGEST to {tenant_name(tenant)} not fully accepted")
             return
-        tally.acks.add(due, (now - due) * 1e3)
+        tally.ack_ms.append((now - due) * 1e3)
         tally.acked_items += size
         tally.last_ack = now
         tally.acked.setdefault(tenant, []).append(index)
@@ -428,6 +422,10 @@ def check_drain(server: Server, code: int, shape: Shape, tally: Tally) -> None:
             tally.fail(f"{name}: drain report {got}, acknowledged {want} items")
 
 
+def _pct(values: list[float], q: float) -> float:
+    return float(np.percentile(values, q)) if values else float("nan")
+
+
 async def _window(root: Path, inputs: Inputs, seconds: float, traced: bool, setups: int) -> dict:
     """Set up (``setups`` times, keeping the last), run one timed
     window, check it.  Returns raw figures for the caller to report."""
@@ -475,17 +473,13 @@ async def _window(root: Path, inputs: Inputs, seconds: float, traced: bool, setu
         code = await stop_server(server)
     check_drain(server, code, shape, tally)
     check_answers(shape, inputs, tally, answers)
-    if shape.ingest_rate:  # open loop: the achieved rate over the window
-        items_per_s = tally.acked_items / max(tally.last_ack - t_start, 1e-9)
-    else:
-        items_per_s = tally.ingested.rate(t_start, seconds)
     return {
         "tally": tally,
         "setup_s": setup_times,
-        "items_per_s": items_per_s,
-        "query_p50_ms": tally.queries.percentile(t_start, seconds, 50),
-        "query_p90_ms": tally.queries.percentile(t_start, seconds, 90),
-        "ingest_ack_p50_ms": tally.acks.percentile(t_start, seconds, 50),
+        "items_per_s": tally.acked_items / max(tally.last_ack - t_start, 1e-9),
+        "query_p50_ms": _pct(tally.query_ms, 50),
+        "query_p90_ms": _pct(tally.query_ms, 90),
+        "ingest_ack_p50_ms": _pct(tally.ack_ms, 50),
         "cpu_share": (cpu1 - cpu0) / (t_end - t_start),
         "peak_rss_mb": rss,
         "trace": trace,
@@ -505,7 +499,7 @@ def run(root: Path, inputs: Inputs, seconds: float, trace: bool) -> dict:
         )}
         metrics["setup_s"] = float(np.median(raw["setup_s"]))
         return {"tally": tally, "metrics": metrics, "absent": [], "samples": {
-            "queries": len(tally.queries), "acks": len(tally.acks), "setups": raw["setup_s"],
+            "queries": len(tally.query_ms), "acks": len(tally.ack_ms), "setups": raw["setup_s"],
         }}
     base = asyncio.run(_window(root, inputs, seconds, False, 1))
     traced = asyncio.run(_window(root, inputs, seconds, True, 1))
