@@ -36,7 +36,7 @@ class SequentialMisraGries(MisraGriesSummary):
         self.extend(batch)
 
     def ingest_prepared(self, plan) -> None:
-        # Deliberately bypass the parent's vectorized batch kernel: this
+        # Deliberately bypass the parent's uncharged batch kernel: this
         # baseline exists to charge the sequential per-item cost, so a
         # shared batch plan must not skip the per-item update() loop.
         self.extend(plan.raw)

@@ -10,8 +10,12 @@ counterpart to Misra-Gries' underestimates.  Included because the
 paper's related-work compares counter-based schemes, and because its
 *overestimates* make a useful contrast in the E9 accuracy tables.
 
-Implementation: dict + lazy min-heap; amortized O(log S) per item,
-charged sequentially (depth = work).
+Implementation: a dict of counters plus a min-heap holding exactly one
+``(count_at_push, item)`` entry per counter, so memory is O(S).
+Increments touch only the dict; an entry may lag its item's true count,
+and eviction refreshes lagging entries at the top of the heap until the
+top is current — that entry is the true ``(count, item)`` minimum.
+Amortized O(log S) per item, charged sequentially (depth = work).
 """
 
 from __future__ import annotations
@@ -41,36 +45,58 @@ class SpaceSaving:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.counters: dict[Hashable, int] = {}
-        self._heap: list[tuple[int, Hashable]] = []  # lazy (count, item)
+        #: One (count_at_push, item) per counter; count_at_push <= count.
+        self._heap: list[tuple[int, Hashable]] = []
         self.stream_length = 0
 
     def update(self, item: Hashable) -> None:
         self.stream_length += 1
         charge(work=2, depth=2)  # sequential baseline (amortized heap ops)
-        counters = self.counters
-        if item in counters:
-            counters[item] += 1
-            heapq.heappush(self._heap, (counters[item], item))
-            return
-        if len(counters) < self.capacity:
-            counters[item] = 1
-            heapq.heappush(self._heap, (1, item))
-            return
-        # Evict the true minimum (skip stale heap entries).
-        while True:
-            count, victim = heapq.heappop(self._heap)
-            if counters.get(victim) == count:
-                break
-        del counters[victim]
-        counters[item] = count + 1
-        heapq.heappush(self._heap, (count + 1, item))
+        self._absorb((item,))
 
     def extend(self, batch: Iterable[Hashable] | np.ndarray) -> None:
-        for item in batch:
-            item = item.item() if isinstance(item, np.generic) else item
-            self.update(item)
+        """Ingest a batch: the same state and the same work/depth total
+        as one :meth:`update` per item, charged once for the batch."""
+        if isinstance(batch, np.ndarray) and batch.dtype.kind != "O":
+            items = batch.tolist()
+        else:
+            items = [x.item() if isinstance(x, np.generic) else x for x in batch]
+        if not items:
+            return
+        self.stream_length += len(items)
+        charge(work=2 * len(items), depth=2 * len(items))
+        self._absorb(items)
 
     ingest = extend
+
+    def _absorb(self, items: Iterable[Hashable]) -> None:
+        counters, heap, capacity = self.counters, self._heap, self.capacity
+        for item in items:
+            if item in counters:
+                counters[item] += 1
+            elif len(counters) < capacity:
+                counters[item] = 1
+                heapq.heappush(heap, (1, item))
+            else:
+                # Refresh lagging entries until the top is current: it
+                # is then the true minimum, since no entry overstates.
+                count, victim = heap[0]
+                while counters[victim] != count:
+                    heapq.heapreplace(heap, (counters[victim], victim))
+                    count, victim = heap[0]
+                del counters[victim]
+                counters[item] = count + 1
+                heapq.heapreplace(heap, (count + 1, item))
+
+    def __setstate__(self, state: dict) -> None:
+        # Rebuild the heap from the counters so pickles written under an
+        # older heap rule (stale duplicate entries) load into this one.
+        self.__dict__.update(state)
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [(count, item) for item, count in self.counters.items()]
+        heapq.heapify(self._heap)
 
     def estimate(self, item: Hashable) -> int:
         """Overestimate: f_e <= est <= f_e + εm."""
@@ -121,8 +147,7 @@ class SpaceSaving:
             ranked = sorted(merged.items(), key=lambda kv: (-kv[1], repr(kv[0])))
             merged = dict(ranked[: self.capacity])
         self.counters = merged
-        self._heap = [(count, item) for item, count in merged.items()]
-        heapq.heapify(self._heap)
+        self._rebuild_heap()
         self.stream_length += other.stream_length
 
     def fresh_clone(self) -> "SpaceSaving":

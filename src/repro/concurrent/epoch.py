@@ -27,20 +27,21 @@ the ingest path never mutates an object a current-epoch reader holds.
 
 A reader that may suspend (or run off-loop, or on another thread)
 between grabbing a snapshot and finishing its query uses
-:meth:`SnapshotStore.query`, a seqlock-style helper: it re-checks the
-epoch after the probe and retries when two or more publishes landed
-mid-read (one publish is safe — it targets the other buffer).  Pure
-in-loop readers can call :meth:`SnapshotStore.read` directly, since
-asyncio's single thread means no publish can interleave with a
-synchronous probe.
+:meth:`SnapshotStore.query`, a seqlock: every publish makes a sequence
+counter odd before it rewrites the back buffer and even again after the
+swap, and the reader retries when the counter was odd or moved while
+its probe ran — so it validates against publishes *started*, not only
+finished.  Pure in-loop readers can call :meth:`SnapshotStore.read`
+directly, since asyncio's single thread means no publish can interleave
+with a synchronous probe.
 
 Publication itself is serialized by an internal lock, so concurrent
 publishers (the buffered ingest path flushes from worker threads) can
 never interleave a half-written back buffer with a swap.  Readers take
 no lock at all: ``read`` is one attribute load of an immutable
-:class:`Snapshot`, and the epoch counter only ever moves forward while
-the lock is held — the contention test in ``tests/test_concurrent.py``
-hammers exactly this pairing.
+:class:`Snapshot`, and the epoch and sequence counters only ever move
+forward while the lock is held — the contention test in
+``tests/test_concurrent.py`` hammers exactly this pairing.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ class SnapshotStore:
         )
         self._front = 0
         self.epoch = 0
+        #: Seqlock sequence: odd while a publish is rewriting a buffer.
+        self._seq = 0
         #: Serializes publishers; readers never take it.
         self._publish_lock = threading.Lock()
         self._snapshot = Snapshot(
@@ -140,6 +143,7 @@ class SnapshotStore:
         the new epoch.
         """
         with self._publish_lock:
+            self._seq += 1
             back = self._buffers[1 - self._front]
             if self._codec_ok:
                 for name_, live in self._live.items():
@@ -155,6 +159,7 @@ class SnapshotStore:
                 epoch=epoch, operators=dict(back), items=items
             )
             self.epoch = epoch
+            self._seq += 1
         _M_PUBLISHED.inc()
         if self.name is not None:
             _M_EPOCH.set(epoch, store=self.name)
@@ -166,16 +171,19 @@ class SnapshotStore:
         return self._snapshot
 
     def query(self, fn: Callable[[Snapshot], Any], retries: int = 8) -> tuple[int, Any]:
-        """Run ``fn(snapshot)`` with seqlock semantics: if two or more
-        epochs published while ``fn`` ran (possible only for readers
-        that suspend or run off-loop), the buffer ``fn`` read may have
-        been rewritten — retry against the fresh snapshot.  Returns
-        ``(epoch, result)`` for the epoch the result is consistent
-        with."""
+        """Run ``fn(snapshot)`` with seqlock semantics: if a publish
+        was in flight or started while ``fn`` ran (possible only for
+        readers that suspend or run off-loop), the buffer ``fn`` read
+        may have been rewritten — retry against the fresh snapshot.
+        Returns ``(epoch, result)`` for the epoch the result is
+        consistent with."""
         for _ in range(retries):
+            seq = self._seq
+            if seq & 1:
+                continue
             snap = self.read()
             result = fn(snap)
-            if self.epoch - snap.epoch < 2:
+            if self._seq == seq:
                 return snap.epoch, result
         # Pathologically hot publisher: serialize against it so the
         # final read cannot be overwritten mid-probe; callers on the

@@ -92,12 +92,12 @@ class MisraGriesSummary:
             self.update(item)
 
     def ingest(self, batch) -> None:
-        """Batch ingest — bit-identical to :meth:`extend` (tested), but
-        vectorized between decrement events via the prepared plan."""
+        """Batch ingest — bit-identical to :meth:`extend` (tested), via
+        the prepared plan's encoding."""
         self.ingest_prepared(PreparedBatch(batch))
 
     def ingest_prepared(self, plan: PreparedBatch) -> None:
-        """Array-native Algorithm 1 over an encoded batch.
+        """Algorithm 1 over an encoded batch.
 
         Like the per-item loop, this charges nothing: the sequential
         summary is the paper's *baseline*, not a parallel algorithm —
@@ -326,82 +326,33 @@ def _mg_ingest_codes(
     codes: np.ndarray,
     universe: Any,
 ) -> dict[Hashable, int]:
-    """Exact Algorithm 1 over an encoded minibatch, vectorized between
-    decrement events.
+    """Exact Algorithm 1 over an encoded minibatch, one item at a time.
 
-    A decrement-all event happens only when an untracked item arrives at
-    a full summary; every decrement round removes ``capacity + 1`` units
-    of counter mass, so events are rare (≤ µ/(S+1)) and the stretches
-    between them — pure increments and inserts — fold into ``bincount``
-    adds.  The resulting counters are bit-identical to running
-    :meth:`MisraGriesSummary.update` item by item, in particular the
-    final state depends on arrival order exactly as the sequential
-    algorithm's does (which is why :func:`mg_augment` cannot be used
-    here — it is a different, order-insensitive operator).
+    The batch is decoded once, then every arrival increments, inserts,
+    or — when an untracked item meets a full summary — decrements all
+    counters and drops the ones reaching zero.  Each decrement round
+    removes ``capacity + 1`` units of counter mass, so there are at most
+    µ/(S+1) of them and the whole batch costs O(µ) dict operations.
+    The result equals running :meth:`MisraGriesSummary.update` item by
+    item; in particular it depends on arrival order exactly as the
+    sequential algorithm does (which is why :func:`mg_augment`, an
+    order-insensitive operator, cannot be used here).
     """
-    decode_array = isinstance(universe, np.ndarray)
-    n_universe = len(universe)
-    if decode_array:
-        index = {int(v): i for i, v in enumerate(universe)}
-        items_by_code: list[Hashable] = [int(v) for v in universe]
+    if isinstance(universe, np.ndarray):
+        items = universe[codes].tolist()
     else:
-        index = {item: i for i, item in enumerate(universe)}
-        items_by_code = list(universe)
-
-    # Code space: batch codes [0, n_universe) plus one slot per tracked
-    # item that does not occur in the batch.
-    counts = np.zeros(n_universe + len(counters), dtype=np.int64)
-    tracked = np.zeros(n_universe + len(counters), dtype=bool)
-    extra = n_universe
-    for item, count in counters.items():
-        i = index.get(item)
-        if i is None:
-            i = extra
-            items_by_code.append(item)
-            extra += 1
-        counts[i] = count
-        tracked[i] = True
-    counts = counts[:extra]
-    tracked = tracked[:extra]
-    ntracked = len(counters)
-
-    p = 0
-    mu = codes.size
-    while p < mu:
-        rel = codes[p:]
-        untracked = ~tracked[rel]
-        slots = capacity - ntracked
-        if untracked.any() and slots < int(untracked.sum()):
-            # Distinct untracked codes in first-occurrence order.
-            uniq, first = np.unique(rel[untracked], return_index=True)
-            if uniq.size > slots:
-                abs_first = np.flatnonzero(untracked)[first]
-                order = np.argsort(abs_first)
-                event = int(abs_first[order[slots]])
-                if slots:
-                    tracked[uniq[order[:slots]]] = True
-                if event:
-                    counts += np.bincount(rel[:event], minlength=extra)
-                # Decrement-all: the arriving item cancels against the
-                # S decrements and is not counted.
-                live = np.flatnonzero(tracked)
-                counts[live] -= 1
-                dead = live[counts[live] == 0]
-                tracked[dead] = False
-                ntracked = live.size - dead.size
-                p += event + 1
-                continue
-        # No further decrement event: every untracked arrival in the
-        # remainder finds a free slot, so one bincount finishes the batch.
-        if untracked.any():
-            tracked[np.unique(rel[untracked])] = True
-        counts += np.bincount(rel, minlength=extra)
-        break
-
-    return {
-        items_by_code[int(i)]: int(counts[int(i)])
-        for i in np.flatnonzero(tracked)
-    }
+        items = [universe[code] for code in codes.tolist()]
+    counters = dict(counters)
+    for item in items:
+        if item in counters:
+            counters[item] += 1
+        elif len(counters) < capacity:
+            counters[item] = 1
+        else:
+            # The arriving item cancels against the S decrements and is
+            # not counted.
+            counters = {key: c - 1 for key, c in counters.items() if c > 1}
+    return counters
 
 
 # ----------------------------------------------------------------------

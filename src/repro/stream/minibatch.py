@@ -667,7 +667,7 @@ class MinibatchDriver:
             batch_id=delivery.batch_id if delivery else None,
             fault=delivery.fault if delivery else None,
         )
-        self.ledger.charge(ledger.work, ledger.depth)
+        self.ledger.charge(work, depth)
         if self.query_every and (self._batch_index + 1) % self.query_every == 0:
             report.query_results = {name: q() for name, q in self.queries.items()}
         self._batch_index += 1

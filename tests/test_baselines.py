@@ -3,6 +3,8 @@ Lossy Counting, sequential CMS, exact counters)."""
 
 from __future__ import annotations
 
+import heapq
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -133,6 +135,120 @@ class TestSpaceSaving:
         for item, count in true.items():
             if count >= 0.05 * len(stream):
                 assert item in ss.heavy_hitters(0.05)
+
+
+_ss_streams = st.lists(st.integers(0, 12), max_size=300)
+
+# One step of a mixed Space-Saving history: a single update, a batch
+# extend, or a merge with a summary built from its own stream.
+_ss_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.integers(0, 12)),
+        st.tuples(st.just("extend"), _ss_streams),
+        st.tuples(st.just("merge"), _ss_streams),
+    ),
+    max_size=12,
+)
+
+
+class TestSpaceSavingBatchParity:
+    """``extend`` is one charge per batch but otherwise exactly a
+    per-item ``update`` loop: same counters, same stream length, same
+    ledger work/depth totals, and one heap entry per counter."""
+
+    @staticmethod
+    def _run(ss: SpaceSaving, steps, batched: bool) -> tuple[int, int]:
+        with tracking() as ledger:
+            for kind, arg in steps:
+                if kind == "update":
+                    ss.update(arg)
+                elif kind == "extend" and batched:
+                    ss.extend(np.asarray(arg, dtype=np.int64))
+                elif kind == "extend":
+                    for item in arg:
+                        ss.update(item)
+                else:
+                    other = SpaceSaving(capacity=ss.capacity)
+                    other.extend(arg)
+                    ss.merge(other)
+                assert len(ss._heap) == len(ss.counters)
+        return ledger.work, ledger.depth
+
+    @given(_ss_streams, st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_extend_equals_update_loop(self, items, capacity):
+        batched = SpaceSaving(capacity=capacity)
+        itemized = SpaceSaving(capacity=capacity)
+        with tracking(record=True) as led_batched:
+            batched.extend(np.asarray(items, dtype=np.int64))
+        with tracking() as led_itemized:
+            for item in items:
+                itemized.update(item)
+        assert batched.counters == itemized.counters
+        assert batched.stream_length == itemized.stream_length == len(items)
+        assert (led_batched.work, led_batched.depth) == (
+            led_itemized.work,
+            led_itemized.depth,
+        )
+        assert len(batched._heap) == len(batched.counters)
+        # The one accounting difference: a single ledger entry per batch.
+        assert len(led_batched.trace) == (1 if items else 0)
+
+    @given(_ss_steps, st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_update_extend_merge_sequences(self, steps, capacity):
+        batched = SpaceSaving(capacity=capacity)
+        itemized = SpaceSaving(capacity=capacity)
+        assert self._run(batched, steps, True) == self._run(itemized, steps, False)
+        assert batched.counters == itemized.counters
+        assert batched.stream_length == itemized.stream_length
+
+    def test_object_items_and_lists(self):
+        stream = list("abracadabra" * 7)
+        batched, itemized = SpaceSaving(capacity=3), SpaceSaving(capacity=3)
+        batched.extend(np.asarray(stream, dtype=object))
+        batched.extend(stream)
+        for item in stream + stream:
+            itemized.update(item)
+        assert batched.counters == itemized.counters
+        assert len(batched._heap) == len(batched.counters) == 3
+
+    def test_empty_batch_adds_no_ledger_entry(self):
+        ss = SpaceSaving(capacity=4)
+        with tracking(record=True) as ledger:
+            ss.extend(np.zeros(0, dtype=np.int64))
+            ss.extend([])
+        assert ledger.trace == [] and ss.stream_length == 0
+
+    def test_pickle_with_stale_heap_entries_loads_and_evicts(self):
+        """A pickle written under the old lazy-heap rule carries stale
+        entries (every count an item ever had, plus evicted items);
+        unpickling rebuilds the heap so eviction stays correct."""
+        rng = np.random.default_rng(17)
+        prefix = (rng.zipf(1.3, 2_000) % 50).astype(np.int64)
+        suffix = (rng.zipf(1.3, 2_000) % 50).astype(np.int64)
+        reference = SpaceSaving(capacity=6)
+        reference.extend(prefix)
+
+        relic = object.__new__(SpaceSaving)
+        stale = [(c, item) for item, count in reference.counters.items()
+                 for c in range(1, count + 1)]
+        stale += [(1, item) for item in range(50) if item not in reference.counters]
+        heapq.heapify(stale)
+        relic.__dict__.update(
+            capacity=reference.capacity,
+            counters=dict(reference.counters),
+            _heap=stale,
+            stream_length=reference.stream_length,
+        )
+        loaded = pickle.loads(pickle.dumps(relic))
+        assert len(loaded._heap) == len(loaded.counters)
+
+        loaded.extend(suffix)
+        reference.extend(suffix)
+        assert loaded.counters == reference.counters
+        assert loaded.stream_length == reference.stream_length
+        assert len(loaded._heap) == len(loaded.counters)
 
 
 class TestLossyCounting:

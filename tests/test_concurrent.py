@@ -8,6 +8,7 @@ from __future__ import annotations
 import pickle
 import threading
 import time
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -134,6 +135,113 @@ class _TornReadDetector:
     def bump(self) -> None:
         self.x += 1
         self.y = self.x
+
+
+class _PausablePair:
+    """State (a, b) with a == b in every published copy; ``load_state``
+    writes ``a``, calls the class-level ``pause`` hook, then writes
+    ``b`` — so a test can freeze a publish halfway through a buffer."""
+
+    pause: Callable[[], None] | None = None
+
+    def __init__(self, value: int = 0) -> None:
+        self.a = self.b = value
+
+    def state_dict(self) -> dict:
+        return {"a": self.a, "b": self.b}
+
+    def load_state(self, state: dict) -> None:
+        self.a = state["a"]
+        if _PausablePair.pause is not None:
+            _PausablePair.pause()
+        self.b = state["b"]
+
+
+class _ContentionSignal:
+    """Wraps the store's publish lock: sets ``event`` when ``thread``
+    tries to take it (the seqlock reader falling back to the lock)."""
+
+    def __init__(self, lock, event: threading.Event) -> None:
+        self._lock = lock
+        self._event = event
+        self.thread: threading.Thread | None = None
+
+    def __enter__(self):
+        if threading.current_thread() is self.thread:
+            self._event.set()
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
+
+
+class TestSeqlockPausedPublish:
+    def test_reader_overlapping_a_started_publish_retries(self):
+        """A reader on epoch 1 overlaps publish 2 (which completes) and
+        the start of publish 3 into its own buffer.  Publish 3 is
+        frozen after writing ``a = 3``, so the buffer holds (3, 1).  The
+        reader must not return that torn pair stamped epoch 1: the
+        sequence counter shows a publish started, so it retries and
+        answers for a whole epoch."""
+        live = _PausablePair(1)
+        store = SnapshotStore({"p": live})
+        store.publish()  # epoch 1 in buffer 1: (1, 1)
+
+        probing, go_read = threading.Event(), threading.Event()
+        paused, release = threading.Event(), threading.Event()
+        reader_waiting = threading.Event()
+        signal = _ContentionSignal(store._publish_lock, reader_waiting)
+        store._publish_lock = signal
+        first_probe = True
+
+        def probe(snap: Snapshot) -> tuple[int, int]:
+            nonlocal first_probe
+            if first_probe:
+                first_probe = False
+                probing.set()
+                go_read.wait(5)
+            return snap["p"].a, snap["p"].b
+
+        answer: list[tuple[int, tuple[int, int]]] = []
+
+        def reader() -> None:
+            answer.append(store.query(probe))
+            reader_waiting.set()
+
+        def frozen_publish() -> None:
+            def freeze() -> None:
+                _PausablePair.pause = None
+                paused.set()
+                release.wait(5)
+
+            _PausablePair.pause = freeze
+            live.a = live.b = 3
+            store.publish()  # epoch 3, into the reader's buffer
+
+        r = threading.Thread(target=reader)
+        signal.thread = r
+        r.start()
+        try:
+            assert probing.wait(5)
+            live.a = live.b = 2
+            store.publish()  # epoch 2 in buffer 0: completes
+            w = threading.Thread(target=frozen_publish)
+            w.start()
+            assert paused.wait(5)
+            go_read.set()  # the probe reads the half-written buffer
+            assert reader_waiting.wait(5)
+            release.set()
+            w.join(5)
+            r.join(5)
+        finally:
+            _PausablePair.pause = None
+            go_read.set()
+            release.set()
+        assert not r.is_alive() and not w.is_alive()
+        epoch, (a, b) = answer[0]
+        assert a == b == epoch, f"torn read (a, b) = ({a}, {b}) at epoch {epoch}"
+        assert store._seq == 2 * store.epoch
 
 
 @pytest.mark.concurrency

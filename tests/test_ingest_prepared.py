@@ -136,7 +136,7 @@ class TestSharedPlanParity:
 
 
 class TestMisraGriesPerItem:
-    """The vectorized MG kernel is bit-identical to Algorithm 1 run
+    """The batch MG kernel is bit-identical to Algorithm 1 run
     item-at-a-time — same counters, same counts, every batch shape."""
 
     @given(
@@ -180,6 +180,20 @@ class TestMisraGriesPerItem:
             reference.update(item)
         assert vectorized.counters == reference.counters
         vectorized.check_invariants()
+
+    def test_large_uniform_batch_small_capacity(self):
+        """One 65,536-item uniform batch at capacity 10: thousands of
+        decrement events.  A kernel that rescans the batch suffix per
+        event is O(µ²/S) here and takes tens of seconds; Algorithm 1's
+        item loop is linear."""
+        batch = np.random.default_rng(53).integers(0, 100_000, 65_536)
+        batched = MisraGriesSummary(capacity=10)
+        reference = MisraGriesSummary(capacity=10)
+        batched.ingest_prepared(PreparedBatch(batch))
+        reference.extend(batch)
+        assert batched.counters == reference.counters
+        assert batched.stream_length == reference.stream_length == 65_536
+        batched.check_invariants()
 
 
 class TestLinearSketchPerItem:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.freq_infinite import ParallelFrequencyEstimator
 from repro.core.basic_counting import ParallelBasicCounter
+from repro.core.countmin import ParallelCountMin
+from repro.pram.cost import tracking
 from repro.stream.generators import bit_stream, zipf_stream
 from repro.stream.minibatch import BatchReport, MinibatchDriver
 
@@ -47,6 +49,18 @@ class TestRun:
         assert driver.mean_work_per_item() == pytest.approx(
             driver.total_work() / 2_000
         )
+
+    def test_driver_ledger_sums_batch_deltas_under_ambient_ledger(self):
+        """Under an ambient ledger (``repro --costs``, profiling) the
+        driver's own ledger gains each batch's delta, not the ambient
+        ledger's running total."""
+        cms = ParallelCountMin(eps=0.01, delta=0.01, rng=np.random.default_rng(5))
+        driver = MinibatchDriver({"cms": cms})
+        with tracking() as ambient:
+            reports = driver.run(zipf_stream(8 * 512, 300, 1.2, rng=6), 512)
+        assert len(reports) == 8
+        assert driver.ledger.work == sum(r.work for r in reports) == ambient.work
+        assert driver.ledger.depth == sum(r.depth for r in reports)
 
     def test_multiple_operators_fan_out(self):
         freq = ParallelFrequencyEstimator(0.1)
