@@ -2,10 +2,9 @@
 reads, and thread-local buffered ingest.
 
 The epoch/snapshot machinery (:class:`SnapshotStore`, :class:`Snapshot`)
-moved here from ``repro.serve.snapshot`` so the serve tier, the
-minibatch driver's concurrent-query mode, and the buffered concurrent
-ingest path (:class:`ConcurrentIngestor`) all share one implementation
-and one consistency model (docs/architecture.md)."""
+lives here so the serve tier and the buffered concurrent ingest path
+(:class:`ConcurrentIngestor`) share one implementation and one
+consistency model (docs/architecture.md)."""
 
 from repro.concurrent.buffers import ConcurrentIngestor, LocalBuffer
 from repro.concurrent.epoch import Snapshot, SnapshotStore

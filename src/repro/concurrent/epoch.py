@@ -1,13 +1,9 @@
 """Epoch publication and snapshot-consistent reads: the shared layer.
 
-This module is the epoch/snapshot machinery that previously lived in
-``repro.serve.snapshot`` (which still re-exports it for back-compat),
-refactored out so every layer that needs a consistency point can share
-one implementation: the serve tier's per-tenant sessions, the
-:class:`~repro.stream.minibatch.MinibatchDriver`'s concurrent-query
-mode, the thread-local buffered ingest path
-(:mod:`repro.concurrent.buffers`), and the fuzzer's ``staleness``
-relation.
+Every layer that needs a consistency point shares this one
+implementation: the serve tier's per-tenant sessions, the thread-local
+buffered ingest path (:mod:`repro.concurrent.buffers`), and the
+fuzzer's ``staleness`` relation.
 
 The merge algebra guarantees (docs/serving.md, [ACH+13]) that after any
 processed minibatch the driver's operator state *is* the exact serial
@@ -101,8 +97,7 @@ class SnapshotStore:
         picklability (fallback — publishes re-pickle).
     name:
         Optional store label for the ``repro_epoch_current`` gauge
-        (tenant id in the serve tier, ``driver`` for the minibatch
-        driver's concurrent-query mode).  Unnamed stores skip the
+        (``tenant:<id>`` in the serve tier).  Unnamed stores skip the
         gauge, so throwaway stores never leak label cardinality.
     """
 

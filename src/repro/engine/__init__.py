@@ -1,6 +1,6 @@
-"""repro.engine — the unified synopsis engine (registry + dataflow).
+"""repro.engine — the unified synopsis engine (registry + merge trees).
 
-Three coordinated pieces, one contract:
+Two coordinated pieces, one contract:
 
 ``repro.engine.registry``
     a runtime-checkable :class:`~repro.engine.registry.Synopsis`
@@ -9,11 +9,6 @@ Three coordinated pieces, one contract:
     `repro.baselines` export.  The CLI, conformance sweeps, checkpoint
     audits, span catalog, and profiler all iterate it instead of
     hard-coding operator lists.
-``repro.engine.graph``
-    the driver's per-batch recipe as an explicit dataflow DAG
-    (source → prepare → operator fan-out → fold) schedulable over the
-    Serial / Thread / Process backends, with the shared
-    ``PreparedBatch`` as a first-class node.
 ``repro.engine.mergetree``
     k-ary merge trees over mergeable summaries: the fold phase of a
     sharded ingest at O(log_k S) charged depth instead of Θ(S).
@@ -23,7 +18,6 @@ substrate and the streaming/tooling layers.
 """
 
 from repro.engine import registry
-from repro.engine.graph import DataflowGraph, Node, operator_graph
 from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
 from repro.engine.registry import Capabilities, Synopsis, SynopsisSpec
 
@@ -32,9 +26,6 @@ __all__ = [
     "Synopsis",
     "Capabilities",
     "SynopsisSpec",
-    "DataflowGraph",
-    "Node",
-    "operator_graph",
     "shard_partials",
     "merge_partials",
     "merge_tree_ingest",

@@ -227,7 +227,7 @@ def _batches(stream: np.ndarray, batch_size: int) -> list[np.ndarray]:
 def _mirror_ingest(op, batches) -> None:
     """Replay the driver's per-batch ingest path call-for-call: one
     shared :class:`PreparedBatch` for preparable operators, plain
-    ``ingest`` otherwise (the serial engine DAG does exactly this)."""
+    ``ingest`` otherwise (the driver's unfused loop does exactly this)."""
     prepared = hasattr(op, "ingest_prepared")
     for batch in batches:
         if prepared:

@@ -8,6 +8,7 @@ running.  See docs/serving.md for the architecture and the ``serve/v1``
 wire protocol.
 """
 
+from repro.concurrent.epoch import Snapshot, SnapshotStore
 from repro.serve.client import LineClient
 from repro.serve.protocol import (
     LINE_LIMIT,
@@ -19,7 +20,6 @@ from repro.serve.protocol import (
 from repro.serve.quota import AdmissionController, AdmissionError, TokenBucket
 from repro.serve.server import ServeConfig, StreamServer
 from repro.serve.session import DrainReport, TenantSession
-from repro.serve.snapshot import Snapshot, SnapshotStore
 
 __all__ = [
     "AdmissionController",

@@ -18,9 +18,8 @@ One :class:`TenantSession` is one tenant's whole pipeline
   snapshot** on the batch boundary — bumping the tenant's epoch;
 * the **query surface**: every servable registry operator the tenant
   named at construction answers its canonical probe against the latest
-  published snapshot (:mod:`repro.concurrent.epoch`, re-exported from
-  ``repro.serve.snapshot`` for back-compat), so queries never touch
-  live state and never block ingest.
+  published snapshot (:mod:`repro.concurrent.epoch`), so queries never
+  touch live state and never block ingest.
 
 Shutdown is :meth:`drain`: stop accepting, pump the queue dry, publish
 the final epoch, optionally write a checkpoint of the full driver
@@ -129,11 +128,6 @@ class TenantSession:
     shards:
         Optional elastic shard count forwarded to the driver (mergeable
         operators only, docs/resilience.md).
-    fuse_kernels:
-        Forwarded to the driver: fused multi-operator ingest kernels
-        (docs/performance.md).  Default ``None`` lets the driver
-        auto-enable fusion whenever the tenant's operator set and
-        execution mode allow it.
     checkpoint_manager:
         Destination for the drain-time snapshot of full driver state.
     clock / sleep:
@@ -151,7 +145,6 @@ class TenantSession:
         high_watermark: int | None = None,
         batch_size: int = 4096,
         shards: int | None = None,
-        fuse_kernels: bool | None = None,
         checkpoint_manager: CheckpointManager | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
@@ -172,12 +165,7 @@ class TenantSession:
                 if not spec.servable:
                     raise ValueError(f"operator {name} has no query probe")
                 self.operators[name] = spec.build()
-        driver_kwargs: dict[str, Any] = {}
-        if shards is not None:
-            driver_kwargs["shards"] = shards
-        if fuse_kernels is not None:
-            driver_kwargs["fuse_kernels"] = fuse_kernels
-        self.driver = MinibatchDriver(self.operators, **driver_kwargs)
+        self.driver = MinibatchDriver(self.operators, shards=shards)
         self.snapshots = SnapshotStore(self.operators, name=f"tenant:{tenant}")
         self.bucket = (
             TokenBucket(quota_rate, quota_burst, clock=clock)

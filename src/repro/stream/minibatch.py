@@ -9,16 +9,13 @@ queries can be answered after any minibatch.
 tracks the work/depth charged per batch on a fresh ledger, and records
 wall-clock throughput — the numbers benchmark E14 reports.
 
-Per-batch execution goes through the :mod:`repro.engine.graph` dataflow
-DAG (source → prepare → operator fan-out → fold); executed serially the
-DAG replays the classic linear loop call-for-call, so reports, ledgers,
-and checkpoint states are bit-identical to the pre-engine driver
-(``use_engine=False`` keeps the legacy loop around as the parity
-comparator, asserted in ``tests/test_engine_graph.py``).  Handing the
-driver an ``engine_backend`` schedules the operator fan-out as
-fork-join strands over Serial/Thread/Process backends — charged
-sum-work / max-depth, so per-batch depth reflects the parallel
-schedule rather than the sequential visit order.
+Each batch runs through one plain loop in :meth:`MinibatchDriver._process`:
+build one :class:`~repro.pram.plan.PreparedBatch` (with ``share_prework``),
+then either run the stacked :class:`~repro.engine.fusion.FusedIngestPlan`
+kernel (when every operator is preparable and nothing is sharded) or
+visit the operators in order — sharded ones through their
+:class:`~repro.resilience.ElasticShardedIngestor`, the rest through
+``ingest_prepared(plan)`` or ``ingest(batch)``.
 
 Resilience (docs/resilience.md): the driver optionally runs under a
 fault-tolerant regime — a seeded :class:`~repro.resilience.FaultInjector`
@@ -49,12 +46,9 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.concurrent.epoch import Snapshot, SnapshotStore
 from repro.engine.fusion import FusedIngestPlan
-from repro.engine.graph import DataflowGraph, operator_graph
 from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
-from repro.pram.backend import Backend
 from repro.pram.cost import CostLedger, current_ledger, tracking
 from repro.pram.plan import PreparedBatch
 from repro.resilience.checkpoint import CheckpointManager
@@ -191,60 +185,32 @@ class MinibatchDriver:
         If set, run every operator's ``check_invariants()`` after each
         ``audit_every`` processed batches; a violation quarantines the
         offending batch and rolls back to the last checkpoint.
-    use_engine:
-        When True (default) each batch executes through the
-        :func:`repro.engine.graph.operator_graph` dataflow DAG; when
-        False, through the legacy inline loop.  Serially scheduled, the
-        two are bit-identical — the flag exists so the parity tests can
-        assert exactly that.
-    engine_backend:
-        Optional :class:`~repro.pram.backend.Backend`; with one set
-        (and ``use_engine``), each DAG level's independent nodes run as
-        one fork-join region, so per-batch depth is the max over
-        operator strands instead of their sum.  Process backends
-        require every operator to round-trip ``pickle`` (the worker's
-        mutated copy is re-adopted via ``state_dict``/``load_state``
-        when available, by replacement otherwise).
-    fuse_kernels:
-        When True, the engine graph runs one
-        :class:`~repro.engine.fusion.FusedIngestPlan` kernel per batch:
-        all fusable operators' hash rows evaluate in a single stacked
-        Horner pass and their gathers collapse into one bincount, with
-        arena-reused scratch — states and charged ledger totals stay
-        bit-identical to the serial path (asserted by the ``fused``
-        fuzz relation and bench E18).  Default ``None`` auto-enables
-        fusion when it applies cleanly: serial in-process engine
-        execution (``use_engine=True``, no ``engine_backend``, no
-        ``shards``) with ``share_prework`` and every operator
-        preparable.  Explicit ``True`` with an incompatible
-        configuration raises.
+    share_prework:
+        When True (default) each minibatch gets one
+        :class:`~repro.pram.plan.PreparedBatch`, so encode/hash/histogram
+        prework is paid once per batch instead of once per operator;
+        charged ledger totals are identical either way.  When, besides,
+        every operator is preparable and nothing is sharded, the batch
+        runs as one :class:`~repro.engine.fusion.FusedIngestPlan` kernel
+        (states and charges bit-identical to the per-operator loop);
+        ``fuse_kernels`` reports that decision.
     shards:
         If set, route every mergeable operator (``fresh_clone`` +
         ``merge``) through an
         :class:`~repro.resilience.ElasticShardedIngestor` with this
         initial shard count; non-mergeable operators keep the plain
-        ingest path.  At least one operator must be mergeable.  The
-        sharded path replaces the engine DAG for those operators.
-    shard_backend / shard_arity / shard_timeout / shard_retry:
-        Forwarded to each ingestor (execution backend, fold arity,
-        post-hoc stall threshold, replay policy).  A ``fault_injector``
-        with ``shard_crash``/``shard_stall`` rates is shared with the
+        ingest path.  At least one operator must be mergeable.
+    shard_timeout / shard_retry:
+        Forwarded to each ingestor (post-hoc stall threshold, replay
+        policy); shards run on the ingestor's default backend with a
+        binary fold tree.  A ``fault_injector`` with
+        ``shard_crash``/``shard_stall`` rates is shared with the
         ingestors automatically.
     rescale_at:
         ``{batch_index: new_shards}`` schedule applied at the start of
         the matching batch — the declarative form of :meth:`rescale`.
     min_shards:
         Degradation floor forwarded to each ingestor.
-    concurrent_queries:
-        When True, the driver owns a
-        :class:`~repro.concurrent.epoch.SnapshotStore` and publishes a
-        fresh epoch on every batch boundary — the point where operator
-        state is the exact serial fold of everything ingested
-        (docs/architecture.md, "Consistency model").  Readers on other
-        threads use :meth:`snapshot` / :attr:`epoch` and never block
-        the ingest path.  Incompatible with ``shards=``: shard partials
-        fold lazily (at query/audit points), so mid-stream batch
-        boundaries there do not carry total state.
     """
 
     def __init__(
@@ -259,17 +225,11 @@ class MinibatchDriver:
         checkpoint_manager: CheckpointManager | None = None,
         audit_every: int | None = None,
         share_prework: bool = True,
-        use_engine: bool = True,
-        engine_backend: Backend | None = None,
-        fuse_kernels: bool | None = None,
         shards: int | None = None,
-        shard_backend: Backend | None = None,
-        shard_arity: int = 2,
         shard_timeout: float | None = None,
         shard_retry: RetryPolicy | None = None,
         rescale_at: Mapping[int, int] | None = None,
         min_shards: int = 1,
-        concurrent_queries: bool = False,
     ) -> None:
         if not operators:
             raise ValueError("need at least one operator")
@@ -293,57 +253,19 @@ class MinibatchDriver:
         self.dead_letter = dead_letter
         self.checkpoint_manager = checkpoint_manager
         self.audit_every = audit_every
-        #: When True (default) the driver builds one PreparedBatch per
-        #: minibatch and hands it to every operator exposing
-        #: ``ingest_prepared``, so encode/hash/histogram prework is paid
-        #: once per batch instead of once per operator.  Charged ledger
-        #: totals are identical either way (repro.pram.plan replays the
-        #: cached costs); only wall-clock changes.
         self.share_prework = share_prework
-        self.use_engine = use_engine
-        self.engine_backend = engine_backend
-        fusable = (
+        #: Derived, not configured: fuse exactly when the fused kernel
+        #: applies cleanly (shared prework, every operator preparable,
+        #: no sharding).
+        self.fuse_kernels = (
             share_prework
-            and use_engine
-            and engine_backend is None
             and shards is None
             and all(
                 hasattr(op, "ingest_prepared") for op in self.operators.values()
             )
         )
-        if fuse_kernels is None:
-            fuse_kernels = fusable
-        elif fuse_kernels:
-            if not share_prework:
-                raise ValueError("fuse_kernels=True requires share_prework=True")
-            if not use_engine:
-                raise ValueError("fuse_kernels=True requires use_engine=True")
-            if engine_backend is not None:
-                raise ValueError(
-                    "fuse_kernels=True requires serial in-process engine "
-                    "execution (engine_backend=None)"
-                )
-            if shards is not None:
-                raise ValueError("fuse_kernels=True is incompatible with shards=")
-        self.fuse_kernels = bool(fuse_kernels)
         self._fusion = (
             FusedIngestPlan(self.operators) if self.fuse_kernels else None
-        )
-        self._graph: DataflowGraph | None = None
-
-        if concurrent_queries and shards is not None:
-            raise ValueError(
-                "concurrent_queries=True is incompatible with shards= "
-                "(shard partials fold lazily, so batch boundaries do not "
-                "carry total state)"
-            )
-        #: Items folded across all processed batches — the prefix length
-        #: each published epoch covers.
-        self._items_seen = 0
-        self.snapshots = (
-            SnapshotStore(self.operators, name="driver")
-            if concurrent_queries
-            else None
         )
 
         self._processed_ids: set[int] = set()
@@ -391,8 +313,6 @@ class MinibatchDriver:
                 self._shard_ingestors[name] = ElasticShardedIngestor(
                     op,
                     shards=shards,
-                    backend=shard_backend,
-                    arity=shard_arity,
                     retry=shard_retry,
                     timeout=shard_timeout,
                     injector=fault_injector,
@@ -415,31 +335,6 @@ class MinibatchDriver:
         :meth:`state_dict` and survive :meth:`load_state` untouched.
         """
         self._hooks.append(hook)
-
-    # ------------------------------------------------------------------
-    # Concurrent-query mode
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """The latest published epoch (0 until the first batch lands).
-        Requires ``concurrent_queries=True``."""
-        if self.snapshots is None:
-            raise ValueError(
-                "driver has no snapshot store; construct with "
-                "concurrent_queries=True"
-            )
-        return self.snapshots.epoch
-
-    def snapshot(self) -> Snapshot:
-        """The latest published batch-boundary snapshot — safe to probe
-        from any thread while the driver keeps ingesting.  Requires
-        ``concurrent_queries=True``."""
-        if self.snapshots is None:
-            raise ValueError(
-                "driver has no snapshot store; construct with "
-                "concurrent_queries=True"
-            )
-        return self.snapshots.read()
 
     def add_reshard_hook(
         self, hook: Callable[["MinibatchDriver", str, ReshardEvent], None]
@@ -602,23 +497,14 @@ class MinibatchDriver:
         work0, depth0 = ledger.work, ledger.depth
         t0 = time.perf_counter()
         with tracking(ledger), span("driver.batch", "driver"):
-            if self._shard_ingestors:
-                # Elastic path: pending rescales apply on the boundary,
-                # then mergeable operators ingest through their shard
-                # ingestors (supervised when configured) while the rest
-                # keep the plain loop.  Shared prework still covers the
-                # non-sharded operators.
-                self._apply_pending_rescale()
-                plan = (
-                    PreparedBatch(batch)
-                    if self.share_prework
-                    and any(
-                        name not in self._shard_ingestors
-                        and hasattr(op, "ingest_prepared")
-                        for name, op in self.operators.items()
-                    )
-                    else None
-                )
+            # Pending rescales apply on the batch boundary.  The plan is
+            # lazy (it charges only when a product is first used), so
+            # building it up front is free for operators that ignore it.
+            self._apply_pending_rescale()
+            plan = PreparedBatch(batch) if self.share_prework else None
+            if self._fusion is not None:
+                self._fusion.execute(plan)
+            else:
                 for name, op in self.operators.items():
                     ing = self._shard_ingestors.get(name)
                     if ing is not None:
@@ -627,30 +513,13 @@ class MinibatchDriver:
                         op.ingest_prepared(plan)
                     else:
                         op.ingest(batch)
-                if self.query_every and (
-                    (self._batch_index + 1) % self.query_every == 0
-                ):
-                    # Queries run right after this block; fold now so
-                    # they see total state (and charge this batch).
-                    for ing in self._shard_ingestors.values():
-                        ing.sync()
-            elif self.use_engine:
-                # The DAG's serial schedule replays the legacy loop
-                # below call-for-call (bit-identical charges); with an
-                # engine_backend, operator nodes run as fork-join
-                # strands instead.
-                ctx = self._engine_graph().execute(
-                    {"source": batch}, backend=self.engine_backend
-                )
-                if self.engine_backend is not None:
-                    self._adopt_folded(ctx["fold"])
-            else:
-                plan = PreparedBatch(batch) if self.share_prework else None
-                for op in self.operators.values():
-                    if plan is not None and hasattr(op, "ingest_prepared"):
-                        op.ingest_prepared(plan)
-                    else:
-                        op.ingest(batch)
+            if self._shard_ingestors and self.query_every and (
+                (self._batch_index + 1) % self.query_every == 0
+            ):
+                # Queries run right after this block; fold now so they
+                # see total state (and charge this batch).
+                for ing in self._shard_ingestors.values():
+                    ing.sync()
         elapsed = time.perf_counter() - t0
         work, depth = ledger.work - work0, ledger.depth - depth0
         _M_BATCHES.inc()
@@ -671,43 +540,10 @@ class MinibatchDriver:
         if self.query_every and (self._batch_index + 1) % self.query_every == 0:
             report.query_results = {name: q() for name, q in self.queries.items()}
         self._batch_index += 1
-        self._items_seen += int(len(batch))
-        if self.snapshots is not None:
-            # Batch boundary: operator state is the exact fold of the
-            # first `_items_seen` items, so the published snapshot is
-            # bit-identical to a serial fold of that prefix.
-            self.snapshots.publish(items=self._items_seen)
         self._drain_reshard_events()
         for hook in self._hooks:
             hook(self, report)
         return report
-
-    def _engine_graph(self) -> DataflowGraph:
-        """The per-batch dataflow DAG, built once per operator set."""
-        if self._graph is None:
-            self._graph = operator_graph(
-                self.operators,
-                share_prework=self.share_prework,
-                fusion=self._fusion,
-            )
-        return self._graph
-
-    def _adopt_folded(self, folded: Mapping[str, Any]) -> None:
-        """Re-adopt operators returned by a scheduled graph execution.
-
-        In-process backends mutate the driver's own operator objects
-        (nothing to do); a process backend returns the worker's mutated
-        copies, whose state is copied back — or, for operators without
-        the state codec, swapped in wholesale."""
-        for name, result in folded.items():
-            op = self.operators[name]
-            if result is op:
-                continue
-            if hasattr(op, "load_state") and hasattr(result, "state_dict"):
-                op.load_state(result.state_dict())
-            else:
-                self.operators[name] = result
-                self._graph = None  # node closures hold the old object
 
     def _ingest_with_retries(self, delivery: Delivery) -> BatchReport | None:
         """Process one delivery under the retry policy; ``None`` means the
@@ -936,10 +772,6 @@ class MinibatchDriver:
             if name in shard_counts:
                 ing.set_shards(int(shard_counts[name]))
         self._since_checkpoint = []
-        self._items_seen = sum(r.size for r in self.reports)
-        if self.snapshots is not None:
-            # Concurrent readers must never see pre-restore state again.
-            self.snapshots.publish(items=self._items_seen)
 
     # ------------------------------------------------------------------
     # Aggregate statistics over all processed batches.

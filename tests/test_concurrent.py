@@ -1,11 +1,10 @@
-"""The shared concurrency layer: snapshot-store move + back-compat,
-seqlock contention, thread-local buffered ingest with bounded staleness,
-the driver's concurrent-query mode, and the metrics-registry thread
-audit (docs/architecture.md, "Consistency model")."""
+"""The shared concurrency layer: where the snapshot store lives, seqlock
+contention, thread-local buffered ingest with bounded staleness, and
+the metrics-registry thread audit (docs/architecture.md, "Consistency
+model")."""
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from typing import Callable
@@ -15,7 +14,6 @@ import pytest
 
 import repro.concurrent
 import repro.serve
-import repro.serve.snapshot
 from repro.concurrent import ConcurrentIngestor, LocalBuffer, Snapshot, SnapshotStore
 from repro.engine.registry import Capabilities, get, specs
 from repro.fuzz.differential import STALENESS_SYNC_EXACT, run_case
@@ -24,7 +22,6 @@ from repro.fuzz.scenarios import synthesize_stream
 from repro.observability.metrics import MetricsRegistry
 from repro.pram.backend import SerialBackend, ThreadBackend
 from repro.resilience.state import dumps
-from repro.stream.minibatch import MinibatchDriver
 
 
 def build_cms():
@@ -36,13 +33,9 @@ def build_mg():
 
 
 # ----------------------------------------------------------------------
-# The move: re-exports, import compat, pickle compat
+# Where the snapshot store lives, and who re-exports it
 # ----------------------------------------------------------------------
 class TestSnapshotMove:
-    def test_serve_shim_reexports_same_objects(self):
-        assert repro.serve.snapshot.Snapshot is Snapshot
-        assert repro.serve.snapshot.SnapshotStore is SnapshotStore
-
     def test_serve_package_still_exports(self):
         assert repro.serve.Snapshot is Snapshot
         assert repro.serve.SnapshotStore is SnapshotStore
@@ -52,21 +45,6 @@ class TestSnapshotMove:
     def test_implementation_lives_in_concurrent(self):
         assert Snapshot.__module__ == "repro.concurrent.epoch"
         assert SnapshotStore.__module__ == "repro.concurrent.epoch"
-
-    def test_pre_move_pickles_still_load(self):
-        """A checkpoint pickled before the refactor embeds the dotted
-        path ``repro.serve.snapshot.Snapshot``; loading must resolve it
-        through the shim.  Protocol 0 stores module paths as plain
-        text, so rewriting the bytes simulates exactly such a relic."""
-        snap = Snapshot(epoch=3, operators={"x": 41}, items=7)
-        relic = pickle.dumps(snap, protocol=0).replace(
-            b"repro.concurrent.epoch", b"repro.serve.snapshot"
-        )
-        assert b"repro.serve.snapshot" in relic
-        loaded = pickle.loads(relic)
-        assert isinstance(loaded, Snapshot)
-        assert (loaded.epoch, loaded.items) == (3, 7)
-        assert loaded["x"] == 41
 
 
 # ----------------------------------------------------------------------
@@ -493,61 +471,6 @@ class TestThreadBackendPersistent:
         backend = ThreadBackend(max_workers=2)
         assert [r for r, _ in backend.run_all([lambda: 9])] == [9]
         assert backend._pool is None
-
-
-# ----------------------------------------------------------------------
-# MinibatchDriver concurrent-query mode
-# ----------------------------------------------------------------------
-class TestDriverConcurrentQueries:
-    def test_snapshot_requires_flag(self):
-        driver = MinibatchDriver({"cms": build_cms()})
-        with pytest.raises(ValueError, match="concurrent_queries"):
-            driver.snapshot()
-        with pytest.raises(ValueError, match="concurrent_queries"):
-            driver.epoch
-
-    def test_incompatible_with_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            MinibatchDriver(
-                {"cms": build_cms()}, shards=2, concurrent_queries=True
-            )
-
-    def test_batch_boundary_snapshots_bit_identical_to_serial_fold(self):
-        """Every published epoch must equal the serial fold of exactly
-        the prefix it claims to cover — the exact-batch-boundary side
-        of the consistency model."""
-        driver = MinibatchDriver({"cms": build_cms()}, concurrent_queries=True)
-        stream = np.random.default_rng(7).integers(0, 50, size=400)
-        batch_size = 40
-        boundary_states: list[tuple[int, int, dict]] = []
-
-        def capture(drv: MinibatchDriver, report) -> None:
-            snap = drv.snapshot()
-            boundary_states.append(
-                (snap.epoch, snap.items, dumps(snap["cms"].state_dict()))
-            )
-
-        driver.add_hook(capture)
-        driver.run(stream, batch_size)
-
-        assert [e for e, _, _ in boundary_states] == list(range(1, 11))
-        serial = build_cms()
-        for epoch, items, state in boundary_states:
-            assert items == epoch * batch_size
-            serial.ingest(stream[(epoch - 1) * batch_size : items])
-            assert state == dumps(serial.state_dict())
-
-    def test_load_state_republishes(self):
-        source = MinibatchDriver({"cms": build_cms()}, concurrent_queries=True)
-        stream = np.random.default_rng(8).integers(0, 20, size=100)
-        source.run(stream, 25)
-        restored = MinibatchDriver({"cms": build_cms()}, concurrent_queries=True)
-        restored.load_state(source.state_dict())
-        snap = restored.snapshot()
-        assert snap.items == 100
-        assert dumps(snap["cms"].state_dict()) == dumps(
-            source.operators["cms"].state_dict()
-        )
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ pure wall-clock optimization.  Four test classes pin it down:
 * arena & metrics — steady-state batches allocate nothing new
   (miss counter stable, reuse ratio climbs) and the three
   ``repro_fused/arena`` metrics flow through both exporters;
-* wiring — driver auto-enable rules, explicit ``fuse_kernels=True``
-  validation, registry ``F`` capability flags, and the engine graph's
-  ``fuse`` node shape.
+* wiring — the driver's derived fuse rule (on for the perfbench
+  operator sets that allow it, off without shared prework or with
+  shards) and registry ``F`` capability flags.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.core import (
     ParallelFrequencyEstimator,
 )
 from repro.engine.fusion import FusedIngestPlan
-from repro.engine.graph import operator_graph
 from repro.engine.registry import get as registry_get, load_all
 from repro.observability.export import to_json, to_prometheus_text
 from repro.observability.metrics import REGISTRY
@@ -245,37 +244,33 @@ class TestWiring:
         )
 
     def test_driver_auto_disables_for_nonserial_modes(self):
-        assert not MinibatchDriver(_pipeline(), use_engine=False).fuse_kernels
         assert not MinibatchDriver(
             _pipeline(), share_prework=False
         ).fuse_kernels
         assert not MinibatchDriver(_pipeline(), shards=2).fuse_kernels
 
-    def test_explicit_fuse_kernels_validates(self):
-        with pytest.raises(ValueError, match="share_prework"):
-            MinibatchDriver(_pipeline(), fuse_kernels=True, share_prework=False)
-        with pytest.raises(ValueError, match="use_engine"):
-            MinibatchDriver(_pipeline(), fuse_kernels=True, use_engine=False)
-        with pytest.raises(ValueError, match="shards"):
-            MinibatchDriver(_pipeline(), fuse_kernels=True, shards=2)
+    @pytest.mark.parametrize(
+        "names, fused",
+        [
+            (("MisraGriesSummary", "SpaceSaving", "ParallelCountMin",
+              "ParallelCountSketch"), False),
+            (("SpaceSaving", "ParallelCountMin"), False),
+            (("ParallelCountMin", "ParallelCountSketch", "WindowedCountMin"),
+             True),
+        ],
+        ids=["hh", "fanout", "lib"],
+    )
+    def test_fuse_decision_for_benchmarked_operator_sets(self, names, fused):
+        """Fuse iff every operator has ``ingest_prepared`` (Space-Saving
+        has none, so the two served sets run the per-operator loop)."""
+        ops = {name: registry_get(name).build() for name in names}
+        assert MinibatchDriver(ops).fuse_kernels is fused
 
     def test_registry_reports_fused_capability(self):
         assert registry_get("ParallelCountMin").caps.fused
         assert registry_get("ParallelCountSketch").caps.fused
         assert "F" in registry_get("ParallelCountMin").caps.flags()
         assert not registry_get("MisraGriesSummary").caps.fused
-
-    def test_graph_gains_fuse_node(self):
-        ops = _pipeline()
-        fusion = FusedIngestPlan(ops)
-        graph = operator_graph(ops, fusion=fusion)
-        names = {node.name for node in graph.nodes}
-        assert "fuse" in names
-        by_name = {node.name: node for node in graph.nodes}
-        for name in ops:
-            assert by_name[f"op:{name}"].deps == ("fuse",)
-        with pytest.raises(ValueError, match="share_prework"):
-            operator_graph(ops, share_prework=False, fusion=fusion)
 
 
 def _run_serial_stream(stream, batch_size) -> tuple[dict, CostLedger]:

@@ -6,18 +6,27 @@ of the fold — S=0, S=1, and arity ≥ S — to exact charged work/depth and
 exact final state, using a tiny tracking operator whose every ingest
 charges (|batch|, 1) and every merge charges (1, 1).  If someone
 reshapes the fold loop, these numbers move and the tests say exactly
-where.
+where.  :class:`TestMergeTree` covers the general case on a real
+Count-Min: tree fold ≡ flat fold ≡ serial ingest in state, at
+logarithmic charged depth.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.engine import registry
 from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
+from repro.pram.backend import ThreadBackend, shard_ingest
 from repro.pram.cost import charge, tracking
+from repro.resilience.state import dumps
+from repro.stream.generators import zipf_stream
 
 
 class _Tally:
@@ -118,3 +127,74 @@ class TestValidation:
     def test_requires_mergeable(self):
         with pytest.raises(TypeError, match="mergeable"):
             merge_partials(object(), [])
+
+
+# ----------------------------------------------------------------------
+# Merge tree: state parity with the flat fold, logarithmic fold depth
+# ----------------------------------------------------------------------
+def _cms():
+    return registry.get("ParallelCountMin").build()
+
+
+class TestMergeTree:
+    def test_tree_state_matches_flat_fold_and_serial_ingest(self):
+        batch = zipf_stream(8_192, 256, 1.1, rng=11)
+        serial = _cms()
+        serial.ingest(batch)
+        flat = shard_ingest(_cms(), batch, shards=16)
+        tree = shard_ingest(_cms(), batch, shards=16, arity=2)
+        assert np.array_equal(serial.table, flat.table)
+        assert np.array_equal(serial.table, tree.table)
+        assert dumps(flat.state_dict()) == dumps(tree.state_dict())
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    def test_fold_depth_is_logarithmic(self, arity):
+        """Tree-fold depth obeys the (arity−1)·⌈log_arity S⌉ + 1 bound
+        and sits strictly below the flat fold's Θ(S) for larger S."""
+        batch = zipf_stream(8_192, 256, 1.1, rng=12)
+        shards = 16
+        partials = shard_partials(_cms(), batch, shards=shards)
+
+        def fold_depth(fold):
+            op = _cms()
+            with tracking() as ledger:
+                fold(op)
+            return ledger.depth
+
+        def flat_fold(op):
+            for part in partials:
+                op.merge(pickle.loads(pickle.dumps(part)))
+
+        def tree_fold(op):
+            merge_partials(
+                op, [pickle.loads(pickle.dumps(p)) for p in partials], arity=arity
+            )
+
+        flat, tree = fold_depth(flat_fold), fold_depth(tree_fold)
+        rounds = math.ceil(math.log(shards, arity))
+        per_merge = flat // shards  # every CMS merge charges equal depth
+        assert tree <= ((arity - 1) * rounds + 1) * per_merge
+        assert tree < flat
+
+    def test_backend_choice_does_not_change_state(self):
+        batch = zipf_stream(4_096, 128, 1.2, rng=13)
+        serial = merge_tree_ingest(_cms(), batch, shards=8, arity=2)
+        threaded = merge_tree_ingest(
+            _cms(), batch, shards=8, arity=2, backend=ThreadBackend(4)
+        )
+        assert dumps(serial.state_dict()) == dumps(threaded.state_dict())
+
+    def test_arity_validated(self):
+        with pytest.raises(ValueError, match="arity"):
+            merge_partials(_cms(), [], arity=1)
+
+    def test_non_mergeable_rejected(self):
+        op = registry.get("DGIMCounter").build()
+        with pytest.raises(TypeError, match="mergeable"):
+            merge_tree_ingest(op, np.ones(16, dtype=np.int64), shards=4)
+
+    def test_empty_partials_leave_op_unchanged(self):
+        op = _cms()
+        before = dumps(op.state_dict())
+        merge_partials(op, [])
+        assert dumps(op.state_dict()) == before

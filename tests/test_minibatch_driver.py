@@ -8,7 +8,11 @@ import pytest
 from repro.core.freq_infinite import ParallelFrequencyEstimator
 from repro.core.basic_counting import ParallelBasicCounter
 from repro.core.countmin import ParallelCountMin
-from repro.pram.cost import tracking
+from repro.engine import registry
+from repro.pram.cost import CostLedger, tracking
+from repro.pram.plan import PreparedBatch
+from repro.resilience.reshard import ElasticShardedIngestor
+from repro.resilience.state import dumps
 from repro.stream.generators import bit_stream, zipf_stream
 from repro.stream.minibatch import BatchReport, MinibatchDriver
 
@@ -138,3 +142,117 @@ class TestHooks:
         driver.load_state(state)  # hooks are runtime-only, not state
         driver.run(np.arange(100), 50)
         assert fired == [0, 1]
+
+
+# ----------------------------------------------------------------------
+# Parity with an explicit per-batch loop
+# ----------------------------------------------------------------------
+_QUERY_EVERY = 3
+
+
+def _ops(names: tuple[str, ...]) -> dict:
+    """Registry-built operators (seeded, so two builds are identical)."""
+    registry.load_all()
+    return {name: registry.get(name).build() for name in names}
+
+
+def _queries(ops: dict) -> dict:
+    return {"cms0": lambda: ops["ParallelCountMin"].point_query(0)}
+
+
+def _explicit_loop(ops, stream, batch_size, *, share_prework, shards):
+    """The paper's minibatch step written out by hand: one plan per
+    batch, then every operator's ingest in order (mergeable operators
+    through a shard ingestor when ``shards`` is set), queries every
+    ``_QUERY_EVERY`` batches.  Returns (report tuples, cumulative ledger)."""
+    ingestors = {
+        name: ElasticShardedIngestor(op, shards=shards, label=name)
+        for name, op in ops.items()
+        if shards is not None and hasattr(op, "merge")
+    }
+    queries = _queries(ops)
+    ledger = CostLedger()
+    reports = []
+    for index, start in enumerate(range(0, len(stream), batch_size)):
+        batch = stream[start : start + batch_size]
+        query_point = (index + 1) % _QUERY_EVERY == 0
+        with tracking() as batch_ledger:
+            plan = PreparedBatch(batch) if share_prework else None
+            for name, op in ops.items():
+                if name in ingestors:
+                    ingestors[name].ingest(batch, batch_id=index)
+                elif plan is not None and hasattr(op, "ingest_prepared"):
+                    op.ingest_prepared(plan)
+                else:
+                    op.ingest(batch)
+            if query_point:
+                for ing in ingestors.values():
+                    ing.sync()
+        ledger.charge(batch_ledger.work, batch_ledger.depth)
+        results = {n: q() for n, q in queries.items()} if query_point else {}
+        reports.append(
+            (index, len(batch), batch_ledger.work, batch_ledger.depth, results)
+        )
+    with tracking(ledger):
+        for ing in ingestors.values():
+            ing.sync()
+    return reports, ledger
+
+
+def _states(ops: dict) -> dict[str, bytes]:
+    return {name: dumps(op.state_dict()) for name, op in ops.items()}
+
+
+class TestExplicitLoopParity:
+    """The driver's per-batch executor equals the hand-written loop in
+    reports, cumulative ledger and operator states — fused, unshared,
+    and sharded alike — and sharding never changes a linear sketch."""
+
+    @pytest.mark.parametrize(
+        "names, share_prework, shards, fused",
+        [
+            (
+                ("ParallelCountMin", "MisraGriesSummary",
+                 "WorkEfficientSlidingFrequency"),
+                True, None, True,
+            ),
+            (
+                ("ParallelCountMin", "MisraGriesSummary",
+                 "WorkEfficientSlidingFrequency"),
+                False, None, False,
+            ),
+            (
+                ("ParallelCountMin", "WorkEfficientSlidingFrequency"),
+                True, 2, False,
+            ),
+        ],
+        ids=["shared-fused", "unshared", "mixed-sharded"],
+    )
+    def test_driver_matches_explicit_loop(self, names, share_prework, shards, fused):
+        stream = zipf_stream(3_000, 64, 1.2, rng=7)
+        driver_ops = _ops(names)
+        driver = MinibatchDriver(
+            driver_ops,
+            query_every=_QUERY_EVERY,
+            queries=_queries(driver_ops),
+            share_prework=share_prework,
+            shards=shards,
+        )
+        assert driver.fuse_kernels is fused
+        driver.run(stream, 256)
+
+        loop_ops = _ops(names)
+        loop_reports, loop_ledger = _explicit_loop(
+            loop_ops, stream, 256, share_prework=share_prework, shards=shards
+        )
+        assert [
+            (r.index, r.size, r.work, r.depth, r.query_results)
+            for r in driver.reports
+        ] == loop_reports
+        assert dumps(driver.ledger.state_dict()) == dumps(loop_ledger.state_dict())
+        assert _states(driver.operators) == _states(loop_ops)
+
+        if shards is not None:
+            unsharded = _ops(names)
+            _explicit_loop(unsharded, stream, 256, share_prework=True, shards=None)
+            assert _states(driver.operators) == _states(unsharded)
