@@ -1,11 +1,12 @@
 """E17 — k-ary merge tree: logarithmic fold depth over shard partials.
 
-``shard_ingest`` splits a minibatch into S shards, ingests each into a
-fresh clone, and folds the partial synopses back into the parent.  The
-seed's fold is a flat left fold — S sequential ``merge`` calls, charged
-depth Θ(S·d) for per-merge depth d — which caps the useful shard count:
-past a point, adding shards *raises* the critical path.  The engine's
-:mod:`repro.engine.mergetree` folds the same partials through a k-ary
+Sharded ingest splits a minibatch into S shards, ingests each into a
+fresh clone, and folds the partial synopses back into the parent.  A
+flat left fold — S sequential ``merge`` calls, charged depth Θ(S·d) for
+per-merge depth d — caps the useful shard count: past a point, adding
+shards *raises* the critical path.
+:func:`repro.engine.mergetree.refold_partials` (the fold step of
+``ElasticShardedIngestor``) folds the same partials through a k-ary
 tree (⌈log_k S⌉ fork-join rounds of group merges), so fold depth grows
 logarithmically in S while total work is unchanged.
 
@@ -32,7 +33,7 @@ import pytest
 
 from benchmarks._harness import bench_rng, bench_seed, emit_table, reset_results
 from repro.core import ParallelCountMin
-from repro.engine.mergetree import merge_partials, shard_partials
+from repro.engine.mergetree import refold_partials
 from repro.pram.cost import tracking
 from repro.stream.generators import zipf_stream
 
@@ -45,6 +46,21 @@ ARITY_SWEEP = (2, 4, 8)
 
 def _cms() -> ParallelCountMin:
     return ParallelCountMin(0.01, 0.01, rng=bench_rng(17))
+
+
+def _partials(batch, shards: int) -> list[ParallelCountMin]:
+    """S partial sketches: one fresh clone per contiguous shard."""
+    parts = []
+    for shard in np.array_split(batch, shards):
+        part = _cms().fresh_clone()
+        part.ingest(shard)
+        parts.append(part)
+    return parts
+
+
+def _tree_fold(op, partials, arity: int) -> None:
+    """k-ary tree fold of copies of ``partials``, adopted by ``op``."""
+    op.merge(refold_partials(_copies(partials), arity=arity))
 
 
 def _copies(partials):
@@ -70,7 +86,7 @@ def test_e17_fold_depth_sweep(benchmark):
     depths: dict[tuple[int, int], int] = {}
     flat_depths: dict[int, int] = {}
     for shards in SHARD_SWEEP:
-        partials = shard_partials(_cms(), batch, shards=shards)
+        partials = _partials(batch, shards)
 
         def flat_fold(op, partials=partials):
             for part in _copies(partials):
@@ -86,7 +102,7 @@ def test_e17_fold_depth_sweep(benchmark):
         for arity in ARITY_SWEEP:
 
             def tree_fold(op, partials=partials, arity=arity):
-                merge_partials(op, _copies(partials), arity=arity)
+                _tree_fold(op, partials, arity)
 
             work, depth, tree_op = _fold_cost(tree_fold)
             depths[(shards, arity)] = depth
@@ -151,5 +167,5 @@ def test_e17_fold_depth_sweep(benchmark):
         ),
     )
 
-    partials = shard_partials(_cms(), batch, shards=16)
-    benchmark(lambda: merge_partials(_cms(), _copies(partials), arity=2))
+    partials = _partials(batch, 16)
+    benchmark(lambda: _tree_fold(_cms(), partials, 2))

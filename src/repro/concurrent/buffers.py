@@ -4,7 +4,7 @@ The concurrent-sketch fast path in the style of Fast Concurrent Data
 Sketches (Rinberg et al., PAPERS.md): instead of serializing every
 update into one shared synopsis, each ingest strand folds its slice of
 the minibatch into a **private buffer sketch** (an ``op.fresh_clone()``
-— the same mergeable-summaries property that licenses ``shard_ingest``
+— the same mergeable-summaries property that licenses sharded ingest
 and the k-ary merge tree).  A buffer that reaches its fill mark is
 **flushed**: merged into the global operator under a short lock, after
 which a fresh epoch is published to a shared

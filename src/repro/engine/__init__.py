@@ -11,14 +11,14 @@ Two coordinated pieces, one contract:
     hard-coding operator lists.
 ``repro.engine.mergetree``
     k-ary merge trees over mergeable summaries: the fold phase of a
-    sharded ingest at O(log_k S) charged depth instead of Θ(S).
+    sharded ingest at O(log_k S) charged depth instead of Θ(S), used
+    by :class:`repro.resilience.reshard.ElasticShardedIngestor`.
 
 See ``docs/architecture.md`` for how the engine sits between the PRAM
 substrate and the streaming/tooling layers.
 """
 
 from repro.engine import registry
-from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
 from repro.engine.registry import Capabilities, Synopsis, SynopsisSpec
 
 __all__ = [
@@ -26,7 +26,4 @@ __all__ = [
     "Synopsis",
     "Capabilities",
     "SynopsisSpec",
-    "shard_partials",
-    "merge_partials",
-    "merge_tree_ingest",
 ]

@@ -1,13 +1,14 @@
 """k-ary merge trees over mergeable summaries.
 
-``shard_ingest`` (PR3) folds S partial synopses back into the parent
-with a flat left fold: S sequential ``merge`` calls, hence charged
-depth Θ(S) for the fold phase even though every ``merge`` is itself a
-shallow parallel region.  The mergeable-summaries property ([ACH+13],
-and the QPOPSS / Cafaro et al. parallel Space-Saving architecture in
-PAPERS.md) licenses *any* merge order — so fold the partials through a
-k-ary tree instead: each round groups k partials and merges each group
-as one fork-join strand, shrinking S partials to ⌈S/k⌉ per round.
+A sharded ingest leaves S partial synopses to fold back into the
+parent.  A flat left fold is S sequential ``merge`` calls, hence
+charged depth Θ(S) for the fold phase even though every ``merge`` is
+itself a shallow parallel region.  The mergeable-summaries property
+([ACH+13], and the QPOPSS / Cafaro et al. parallel Space-Saving
+architecture in PAPERS.md) licenses *any* merge order — so fold the
+partials through a k-ary tree instead: each round groups k partials and
+merges each group as one fork-join strand, shrinking S partials to
+⌈S/k⌉ per round.
 
 With per-merge depth d, the fold phase charges
 
@@ -19,37 +20,23 @@ ledger by ``benchmarks/bench_e17_mergetree.py``.  The *states* are
 identical either way (merge order freedom), which the benchmark also
 asserts cell-for-cell against single-pass serial ingest.
 
-Unlike ``shard_ingest``, partials travel as pickled operators rather
-than ``state_dict`` blobs, so any synopsis with ``fresh_clone`` +
-``merge`` qualifies — including baselines without the resilience
-codec (ExactCounters, SpaceSaving, SequentialCountMin).
+:func:`refold_partials` is the fold step of
+:class:`repro.resilience.reshard.ElasticShardedIngestor`, the one
+shard-and-fold path: its leaf strands ingest the shards, this tree
+folds the partials, and the ingestor's base adopts the head.  Partials
+travel as pickled operators, so any synopsis with ``fresh_clone`` +
+``merge`` qualifies — including baselines without the resilience codec
+(ExactCounters, SpaceSaving, SequentialCountMin).
 """
 
 from __future__ import annotations
 
-import pickle
 from functools import partial
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.pram.backend import Backend, fork_join
 
-__all__ = [
-    "shard_partials",
-    "refold_partials",
-    "merge_partials",
-    "merge_tree_ingest",
-]
-
-
-def _leaf_task(clone_blob: bytes, shard: np.ndarray) -> Any:
-    """Leaf strand: ingest one shard into a fresh clone and return the
-    partial synopsis itself (module-level so it pickles into a
-    :class:`~repro.pram.backend.ProcessPoolBackend` worker)."""
-    op = pickle.loads(clone_blob)
-    op.ingest(shard)
-    return op
+__all__ = ["refold_partials"]
 
 
 def _merge_group(group: Sequence[Any]) -> Any:
@@ -64,35 +51,6 @@ def _merge_group(group: Sequence[Any]) -> Any:
     return head
 
 
-def _require_mergeable(op: Any, caller: str) -> None:
-    for required in ("fresh_clone", "merge"):
-        if not hasattr(op, required):
-            raise TypeError(
-                f"{type(op).__name__} has no {required}(); {caller} needs "
-                "a mergeable synopsis (fresh_clone + merge)"
-            )
-
-
-def shard_partials(
-    op: Any,
-    batch: np.ndarray,
-    *,
-    shards: int,
-    backend: Backend | None = None,
-) -> list[Any]:
-    """Split ``batch`` into ``shards`` contiguous chunks and ingest each
-    into an empty ``op.fresh_clone()`` — one fork-join region, one
-    strand per shard.  Returns the partial synopses, unmerged."""
-    _require_mergeable(op, "shard_partials")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    batch = np.asarray(batch)
-    clone_blob = pickle.dumps(op.fresh_clone())
-    parts = [part for part in np.array_split(batch, shards) if part.size]
-    tasks = [partial(_leaf_task, clone_blob, part) for part in parts]
-    return fork_join(tasks, backend)
-
-
 def refold_partials(
     partials: Sequence[Any],
     *,
@@ -105,20 +63,17 @@ def refold_partials(
     The partials may be *heterogeneous in history* — fresh leaves from
     one minibatch, or long-lived per-shard accumulators holding many
     batches of state, or a mix: merge-order freedom makes the fold valid
-    regardless.  Unlike :func:`merge_partials` there is no adopting
-    ``op`` — the caller owns the result.  This is the re-fold step of
-    the elastic reshard protocol
-    (:class:`repro.resilience.reshard.ElasticShardedIngestor`), which
-    collapses the old shard set's partials before repartitioning to the
-    new shard count."""
+    regardless.  There is no adopting operator — the caller owns the
+    result and merges it where it belongs (the ingestor's base, or a
+    benchmark's target sketch)."""
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
     parts = list(partials)
     # Degenerate folds, spelled out so the charged depth is obvious:
-    # S=0 (an empty batch sharded to nothing) folds nothing; S=1 needs
-    # no tree rounds at all.  Both paths charge exactly what the general
-    # loop would — they exist for clarity and as anchors for the
-    # regression tests in tests/test_mergetree.py.
+    # S=0 folds nothing; S=1 needs no tree rounds at all.  Both paths
+    # charge exactly what the general loop would — they exist for
+    # clarity and as anchors for the regression tests in
+    # tests/test_mergetree.py.
     if not parts:
         return None
     # arity >= S collapses the tree to a single round: one group, one
@@ -128,45 +83,3 @@ def refold_partials(
         tasks = [partial(_merge_group, group) for group in groups]
         parts = fork_join(tasks, backend)
     return parts[0]
-
-
-def merge_partials(
-    op: Any,
-    partials: Sequence[Any],
-    *,
-    arity: int = 2,
-    backend: Backend | None = None,
-) -> Any:
-    """Fold ``partials`` into ``op`` through a k-ary merge tree.
-
-    Each round partitions the surviving partials into groups of
-    ``arity`` and merges every group as one strand of a fork-join
-    region; rounds repeat until one partial remains, which ``op``
-    adopts with a final ``merge``.  Charged fold depth is
-    O(log_arity S) rounds × (arity−1) merges, vs Θ(S) for the flat
-    fold.  Returns ``op``."""
-    _require_mergeable(op, "merge_partials")
-    head = refold_partials(partials, arity=arity, backend=backend)
-    if head is not None:
-        op.merge(head)
-    return op
-
-
-def merge_tree_ingest(
-    op: Any,
-    batch: np.ndarray,
-    *,
-    shards: int,
-    arity: int = 2,
-    backend: Backend | None = None,
-) -> Any:
-    """Sharded ingest with a k-ary merge-tree fold.
-
-    The tree-fold counterpart of
-    :func:`repro.pram.backend.shard_ingest` (also reachable there via
-    its ``arity=`` parameter): same leaf phase, same final state — the
-    merge order is free for mergeable summaries — but the fold phase
-    charges O(log_arity ``shards``) depth instead of Θ(``shards``).
-    Returns ``op``."""
-    parts = shard_partials(op, batch, shards=shards, backend=backend)
-    return merge_partials(op, parts, arity=arity, backend=backend)

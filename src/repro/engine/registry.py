@@ -76,9 +76,9 @@ class Capabilities:
 
     ``mergeable``
         ``merge(other)`` + ``fresh_clone()`` — the mergeable-summaries
-        property that makes :func:`repro.engine.mergetree.merge_partials`,
-        ``shard_ingest``, and elastic resharding
-        (:class:`repro.resilience.ElasticShardedIngestor`) valid; it also
+        property that makes sharded ingest and elastic resharding
+        (:class:`repro.resilience.ElasticShardedIngestor`, folding
+        through :func:`repro.engine.mergetree.refold_partials`) valid; it also
         selects the fuzzer's ``mergetree`` *and* ``reshard`` differential
         relations for the operator.
     ``preparable``

@@ -22,7 +22,9 @@ its synthesized stream, :func:`run_case` runs the operator through
     ledgers and their (work, depth) totals must be identical, for
     every operator with the ``fused`` capability;
 ``mergetree``
-    shard + k-ary merge-tree fold vs serial ingest — state-exact for
+    one whole-stream ingest through
+    :class:`~repro.resilience.ElasticShardedIngestor` (shard leaves +
+    k-ary merge-tree fold on ``sync``) vs serial ingest — state-exact for
     linear sketches, probe-exact for exact counters, envelope-bounded
     for the capacity-bounded (MG/Space-Saving) family, per the
     merge-algebra rules (tests/test_merge_algebra.py);
@@ -72,7 +74,6 @@ import numpy as np
 
 from repro.concurrent.buffers import ConcurrentIngestor
 from repro.engine.fusion import FusedIngestPlan
-from repro.engine.mergetree import merge_tree_ingest
 from repro.pram.backend import SerialBackend
 from repro.pram.cost import CostLedger, tracking
 from repro.pram.plan import PreparedBatch
@@ -346,9 +347,11 @@ def _relation_fused(spec, plan, stream, reference: _Run) -> list[Violation]:
 
 
 def _relation_mergetree(spec, plan, stream, reference: _Run) -> list[Violation]:
-    tree = merge_tree_ingest(
-        spec.build(), stream, shards=plan.shards, arity=plan.arity
+    ingestor = ElasticShardedIngestor(
+        spec.build(), shards=plan.shards, arity=plan.arity
     )
+    ingestor.ingest(stream)
+    tree = ingestor.sync()
     if spec.name in SHARD_PROBE_EXACT:
         return _compare(
             spec, "mergetree", reference, _Run.of(tree),

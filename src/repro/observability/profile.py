@@ -341,16 +341,17 @@ def _scenario_e16(items: int) -> None:
 
 
 def _scenario_e17(items: int) -> None:
-    from repro.engine.mergetree import merge_partials, shard_partials
     from repro.engine.registry import create
+    from repro.resilience.reshard import ElasticShardedIngestor
     from repro.stream.generators import minibatches, zipf_stream
 
     # Registry-built sketch; sharded leaf ingest + binary-tree fold per
     # minibatch, so the attribution shows leaf strands vs tree merges.
     cm = create("ParallelCountMin", eps=0.01, delta=0.01)
+    ingestor = ElasticShardedIngestor(cm, shards=8, arity=2)
     for batch in minibatches(zipf_stream(items, 1 << 12, 1.2, rng=17), 4_096):
-        partials = shard_partials(cm, batch, shards=8)
-        merge_partials(cm, partials, arity=2)
+        ingestor.ingest(batch)
+        ingestor.sync()
     for item in range(64):
         cm.point_query(item)
 

@@ -18,7 +18,7 @@ hashing     k-wise independent polynomial hash families
 histogram   buildHist (Theorem 2.3)
 css         compacted stream segments (Lemma 2.1) and sift (Lemma 5.9)
 select      parallel rank selection (prune cutoff, Lemma 5.3)
-backend     serial and thread-pool fork-join execution backends
+backend     serial, thread-pool and process-pool fork-join backends
 
 Every primitive is additionally wrapped in a named observability span
 (``pram.<primitive>``, see docs/observability.md): when a
@@ -35,7 +35,6 @@ from repro.pram.backend import (
     SerialBackend,
     ThreadBackend,
     fork_join,
-    shard_ingest,
 )
 from repro.pram.cost import (
     Cost,
@@ -97,7 +96,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessPoolBackend",
     "fork_join",
-    "shard_ingest",
     "pack",
     "par_concat",
     "par_filter",

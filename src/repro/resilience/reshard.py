@@ -1,10 +1,14 @@
 """Elastic resharding with live state migration and shard supervision.
 
-PR 3's ``shard_ingest`` made ingest parallel; PR 4's merge algebra made
-the shard count a *mathematical* free variable (merge-order freedom);
-this module makes it an *operational* one: a supervised, fault-tolerant,
-runtime quantity.  :class:`ElasticShardedIngestor` owns a base synopsis
-plus one long-lived partial synopsis per shard, so that at any instant
+Sharded ingest makes a minibatch parallel: split it into shards, ingest
+each into a partial synopsis, fold the partials back.  The merge algebra
+makes the shard count a *mathematical* free variable (merge-order
+freedom); this module makes it an *operational* one: a supervised,
+fault-tolerant, runtime quantity.  :class:`ElasticShardedIngestor` is
+the one shard-and-fold path (the driver, the CLI, serve, the E17
+profile and the fuzz ``mergetree`` relation all run it).  It owns a
+base synopsis plus one long-lived partial synopsis per shard, so that
+at any instant
 
     total state  =  base  ⊕  partial_0 ⊕ … ⊕ partial_{S−1}
 
@@ -53,13 +57,17 @@ import numpy as np
 from repro.engine.mergetree import refold_partials
 from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
-from repro.pram.backend import Backend, WorkerCrashError, fork_join
+from repro.pram.backend import (
+    _M_SHARD_FAILURES,
+    Backend,
+    WorkerCrashError,
+    fork_join,
+)
 from repro.resilience.faults import (
     DeadLetterQueue,
     FaultInjector,
     RetryPolicy,
 )
-from repro.resilience.state import expect, header
 
 __all__ = [
     "ElasticShardedIngestor",
@@ -69,9 +77,9 @@ __all__ = [
     "ShardStallError",
 ]
 
-# Reshard metrics (catalog: docs/observability.md).  The failures
-# counter is the same family ProcessPoolBackend records "worker_lost"
-# into — get-or-create registration returns the shared instance.
+# Reshard metrics (catalog: docs/observability.md).  Shard failures go
+# to the repro_shard_failures_total family ProcessPoolBackend defines
+# and records "worker_lost" into.
 _M_RESHARDS = REGISTRY.counter(
     "repro_reshards_total",
     "Completed shard-count transitions",
@@ -82,11 +90,6 @@ _M_RESHARD_SECONDS = REGISTRY.histogram(
 )
 _M_SHARDS_CURRENT = REGISTRY.gauge(
     "repro_shards_current", "Current shard count of elastic ingestors"
-)
-_M_SHARD_FAILURES = REGISTRY.counter(
-    "repro_shard_failures_total",
-    "Shard/worker task failures seen by backends and shard supervision",
-    labels=("kind",),
 )
 
 
@@ -241,7 +244,9 @@ class ElasticShardedIngestor:
         self.min_shards = int(min_shards)
         self.label = label or type(op).__name__
         self._partials: list[Any] = [op.fresh_clone() for _ in range(shards)]
-        self._dirty = False
+        #: Indices of the partials that received items since the last
+        #: fold; only these carry state into it.
+        self._dirty: set[int] = set()
         self.batches = 0
         self.degraded_slices = 0
         #: Completed transitions / failed attempts, in order; drained by
@@ -275,7 +280,6 @@ class ElasticShardedIngestor:
         active = [i for i, part in enumerate(slices) if part.size]
         if not active:
             return
-        self._dirty = True
         if not self.supervised:
             tasks = []
             for i in active:
@@ -285,6 +289,7 @@ class ElasticShardedIngestor:
             results = fork_join(tasks, self.backend)
             for i, result in zip(active, results):
                 self._partials[i] = result
+            self._dirty.update(active)
             return
         self._ingest_supervised(bid, slices, active)
 
@@ -326,6 +331,7 @@ class ElasticShardedIngestor:
                     self.timeout is None or out["elapsed"] <= self.timeout
                 ):
                     self._partials[i] = out["op"]
+                    self._dirty.add(i)
                     continue
                 if out["ok"]:
                     kind = "shard_stall"
@@ -383,6 +389,8 @@ class ElasticShardedIngestor:
             if len(self._partials) > self.min_shards:
                 self.op.merge(self._partials[i])
                 del self._partials[i]
+                # Shards above i shift down one index.
+                self._dirty = {j - (j > i) for j in self._dirty if j != i}
                 note = "shard retired"
             else:
                 note = f"at min_shards={self.min_shards}, shard kept"
@@ -458,26 +466,22 @@ class ElasticShardedIngestor:
 
     def _fold(self) -> int:
         """Fold every dirty partial into the base; returns how many
-        partials carried state into the fold."""
+        partials carried state into the fold.  Partials that got no
+        items since the last fold are still fresh clones: folding them
+        would only charge merges of nothing."""
         if not self._dirty:
             return 0
-        head = refold_partials(self._partials, arity=self.arity, backend=self.backend)
-        if head is not None:
-            self.op.merge(head)
-        folded = len(self._partials)
-        self._partials = [self.op.fresh_clone() for _ in range(folded)]
-        self._dirty = False
-        return folded
+        dirty = [self._partials[i] for i in sorted(self._dirty)]
+        self.op.merge(refold_partials(dirty, arity=self.arity, backend=self.backend))
+        self._partials = [self.op.fresh_clone() for _ in self._partials]
+        self._dirty = set()
+        return len(dirty)
 
     def sync(self) -> Any:
         """Fold outstanding partial state into the base so queries see
         the total; the shard count is unchanged.  Returns the base."""
         self._fold()
         return self.op
-
-    def collect(self) -> Any:
-        """Alias of :meth:`sync` for query-site readability."""
-        return self.sync()
 
     def discard_partials(self) -> None:
         """Drop unfolded per-shard state *without* folding it — rollback
@@ -487,12 +491,12 @@ class ElasticShardedIngestor:
         self._partials = [
             self.op.fresh_clone() for _ in range(len(self._partials))
         ]
-        self._dirty = False
+        self._dirty = set()
 
     def set_shards(self, shards: int) -> None:
         """Restore-time repartition: install ``shards`` fresh partials
         *without* folding — the base is assumed to already hold the
-        total state (as after :meth:`load_state`)."""
+        total state (as after a driver checkpoint restore)."""
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if self._dirty:
@@ -500,36 +504,3 @@ class ElasticShardedIngestor:
         self._partials = [self.op.fresh_clone() for _ in range(int(shards))]
         self.min_shards = min(self.min_shards, int(shards))
         _M_SHARDS_CURRENT.set(int(shards))
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, Any]:
-        """Serializable snapshot: the synced base plus shard topology.
-
-        Partials are always folded first, so the snapshot never needs to
-        carry per-shard state — restore repartitions fresh."""
-        self.sync()
-        if not hasattr(self.op, "state_dict"):
-            raise TypeError(
-                f"{type(self.op).__name__} has no state_dict(); cannot "
-                "checkpoint an elastic ingestor over it"
-            )
-        return {
-            **header("elastic_sharded_ingestor"),
-            "shards": len(self._partials),
-            "min_shards": self.min_shards,
-            "batches": self.batches,
-            "degraded_slices": self.degraded_slices,
-            "op": self.op.state_dict(),
-        }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        expect(state, "elastic_sharded_ingestor")
-        self.op.load_state(state["op"])
-        self.batches = int(state["batches"])
-        self.degraded_slices = int(state["degraded_slices"])
-        self.min_shards = int(state["min_shards"])
-        self._dirty = False
-        self._partials = [
-            self.op.fresh_clone() for _ in range(int(state["shards"]))
-        ]
-        _M_SHARDS_CURRENT.set(len(self._partials))

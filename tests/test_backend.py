@@ -6,7 +6,6 @@ import os
 import threading
 from functools import partial
 
-import numpy as np
 import pytest
 
 from repro.pram.backend import (
@@ -15,7 +14,6 @@ from repro.pram.backend import (
     ThreadBackend,
     WorkerCrashError,
     fork_join,
-    shard_ingest,
     task_label,
 )
 from repro.pram.cost import Cost, charge, tracking
@@ -95,61 +93,6 @@ def _ok_task() -> str:
 
 def _kill_worker() -> None:
     os._exit(13)  # hard worker death, not an exception
-
-
-class _Counter:
-    """Minimal mergeable synopsis for the degenerate-input tests."""
-
-    def __init__(self) -> None:
-        self.counts: dict[int, int] = {}
-        self.ingests = 0
-        self.merges = 0
-
-    def ingest(self, batch) -> None:
-        self.ingests += 1
-        for item in np.asarray(batch).tolist():
-            self.counts[item] = self.counts.get(item, 0) + 1
-
-    def fresh_clone(self) -> "_Counter":
-        return _Counter()
-
-    def merge(self, other: "_Counter") -> None:
-        self.merges += 1
-        for item, count in other.counts.items():
-            self.counts[item] = self.counts.get(item, 0) + count
-
-    def state_dict(self) -> dict:
-        return {"counts": self.counts}
-
-    def load_state(self, state: dict) -> None:
-        self.counts = dict(state["counts"])
-
-
-class TestShardIngestDegenerates:
-    def test_empty_batch_is_noop(self):
-        op = _Counter()
-        out = shard_ingest(op, np.empty(0, dtype=np.int64), shards=4)
-        assert out is op
-        assert op.counts == {}
-        # Explicit early-out: no partials were built, so no merges.
-        assert op.merges == 0 and op.ingests == 0
-
-    def test_shards_clamped_to_batch_size(self):
-        op = _Counter()
-        shard_ingest(op, np.arange(3), shards=16)
-        assert op.counts == {0: 1, 1: 1, 2: 1}
-        # One shard per item, not one per requested shard.
-        assert op.merges == 3
-
-    def test_single_item_single_shard(self):
-        op = _Counter()
-        shard_ingest(op, np.asarray([7]), shards=8)
-        assert op.counts == {7: 1}
-        assert op.merges == 1
-
-    def test_invalid_shards_still_rejected(self):
-        with pytest.raises(ValueError):
-            shard_ingest(_Counter(), np.arange(4), shards=0)
 
 
 class TestWorkerCrashSurface:

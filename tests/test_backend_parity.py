@@ -2,11 +2,12 @@
 
 The mergeable-summaries property (linearity of Count-Min/Count-Sketch)
 means a sharded ingest's result depends only on the shard *contents*,
-never on the vehicle that ran the shards.  These tests pin that down:
-all three backends produce bit-identical synopsis state and identical
-charged ledger totals on the same prepared batch, RNG state round-trips
-through the worker pickle, and the fork-join cost fold matches the
-cost-model rule (sum work, max depth).
+never on the vehicle that ran the shards.  These tests pin that down
+for :class:`~repro.resilience.reshard.ElasticShardedIngestor` over
+several batches and a final ``sync``: all three backends produce
+bit-identical synopsis state and identical charged ledger totals, RNG
+state round-trips through the worker pickle, and the fork-join cost
+fold matches the cost-model rule (sum work, max depth).
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelCountMin, ParallelCountSketch
-from repro.pram.backend import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadBackend,
-    shard_ingest,
-)
+from repro.pram.backend import ProcessPoolBackend, SerialBackend, ThreadBackend
 from repro.pram.cost import tracking
+from repro.resilience.reshard import ElasticShardedIngestor
 from repro.resilience.state import dumps
 from repro.stream.generators import zipf_stream
 
@@ -47,8 +44,11 @@ STREAM = zipf_stream(4_000, 300, 1.2, rng=77)
 
 def _shard_run(make, backend, shards=4):
     op = make()
+    ingestor = ElasticShardedIngestor(op, shards=shards, backend=backend)
     with tracking() as led:
-        shard_ingest(op, STREAM, shards=shards, backend=backend)
+        for batch in np.array_split(STREAM, 3):
+            ingestor.ingest(batch)
+        ingestor.sync()
     return dumps(op.state_dict()), (led.work, led.depth)
 
 
@@ -79,13 +79,16 @@ class TestBackendParity:
         assert dumps(direct.state_dict()) == sharded
 
     def test_rng_state_round_trips_through_workers(self, sketch):
-        """The worker pickles the clone (rng included) and ships state
-        back; the merged op's rng must be exactly the original's."""
+        """Each worker unpickles its partial (rng included) and ships
+        it back; the merged op's rng must be exactly the original's."""
         make = SKETCHES[sketch]
         op = make()
         before = pickle.dumps(op._rng.bit_generator.state)
-        shard_ingest(op, STREAM, shards=3,
-                     backend=ProcessPoolBackend(max_workers=2))
+        ingestor = ElasticShardedIngestor(
+            op, shards=3, backend=ProcessPoolBackend(max_workers=2)
+        )
+        ingestor.ingest(STREAM)
+        ingestor.sync()
         after = pickle.dumps(op._rng.bit_generator.state)
         assert before == after
         op.check_invariants()
@@ -147,15 +150,17 @@ class TestShardIngestValidation:
                 pass
 
         with pytest.raises(TypeError, match="fresh_clone"):
-            shard_ingest(NoMerge(), STREAM, shards=2)
+            ElasticShardedIngestor(NoMerge(), shards=2)
 
     def test_rejects_bad_shard_count(self):
         op = SKETCHES["countmin"]()
         with pytest.raises(ValueError, match="shards"):
-            shard_ingest(op, STREAM, shards=0)
+            ElasticShardedIngestor(op, shards=0)
 
     def test_empty_batch_is_noop(self):
         op = SKETCHES["countmin"]()
         before = dumps(op.state_dict())
-        shard_ingest(op, np.asarray([], dtype=np.int64), shards=3)
+        ingestor = ElasticShardedIngestor(op, shards=3)
+        ingestor.ingest(np.asarray([], dtype=np.int64))
+        ingestor.sync()
         assert dumps(op.state_dict()) == before

@@ -167,7 +167,7 @@ def test_merge_tree_equals_flat_fold_estimates(spec):
     """Folding six partials through the k-ary merge tree answers like
     the flat left fold — the property the engine's merge tree (and any
     future scheduler reordering) rests on."""
-    from repro.engine.mergetree import merge_partials
+    from repro.engine.mergetree import refold_partials
 
     streams = [zipf_stream(200, 64, 1.3, rng=200 + i) for i in range(6)]
     partials = [_ingested(spec, s) for s in streams]
@@ -177,7 +177,8 @@ def test_merge_tree_equals_flat_fold_estimates(spec):
         flat.merge(pickle.loads(pickle.dumps(part)))
 
     tree = spec.build()
-    merge_partials(tree, [pickle.loads(pickle.dumps(p)) for p in partials], arity=3)
+    copies = [pickle.loads(pickle.dumps(p)) for p in partials]
+    tree.merge(refold_partials(copies, arity=3))
 
     if spec.name in STATE_EXACT:
         assert _state(flat) == _state(tree)

@@ -2,13 +2,14 @@
 
 The general tree bound (⌈log_k S⌉ rounds × (k−1) merges) is exercised
 by the merge-algebra sweep and bench_e17; these tests pin the *edges*
-of the fold — S=0, S=1, and arity ≥ S — to exact charged work/depth and
-exact final state, using a tiny tracking operator whose every ingest
-charges (|batch|, 1) and every merge charges (1, 1).  If someone
-reshapes the fold loop, these numbers move and the tests say exactly
-where.  :class:`TestMergeTree` covers the general case on a real
-Count-Min: tree fold ≡ flat fold ≡ serial ingest in state, at
-logarithmic charged depth.
+of the shard-and-fold path (``ElasticShardedIngestor`` leaves, then
+``refold_partials`` on ``sync``) — S=0, S=1, arity ≥ S and idle shards
+— to exact charged work/depth and exact final state, using a tiny
+tracking operator whose every ingest charges (|batch|, 1) and every
+merge charges (1, 1).  If someone reshapes the fold loop, these numbers
+move and the tests say exactly where.  :class:`TestMergeTree` covers
+the general case on a real Count-Min: tree fold ≡ flat fold ≡ serial
+ingest in state, at logarithmic charged depth.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import numpy as np
 import pytest
 
 from repro.engine import registry
-from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
-from repro.pram.backend import ThreadBackend, shard_ingest
+from repro.engine.mergetree import refold_partials
+from repro.pram.backend import ThreadBackend
 from repro.pram.cost import charge, tracking
+from repro.resilience.reshard import ElasticShardedIngestor
 from repro.resilience.state import dumps
 from repro.stream.generators import zipf_stream
 
@@ -56,12 +58,19 @@ def _serial_counts(stream) -> Counter:
     return op.counts
 
 
+def _ingest_and_sync(op, stream, *, shards: int, arity: int = 2):
+    """One whole-stream sharded ingest plus the fold that ``sync`` runs."""
+    ingestor = ElasticShardedIngestor(op, shards=shards, arity=arity)
+    ingestor.ingest(stream)
+    return ingestor.sync()
+
+
 class TestDegenerateFolds:
     def test_empty_batch_is_a_no_op(self):
         """S=0: an empty batch shards to zero partials; nothing merges,
         nothing is charged."""
         with tracking() as led:
-            op = merge_tree_ingest(_Tally(), np.array([], dtype=np.int64), shards=4)
+            op = _ingest_and_sync(_Tally(), np.array([], dtype=np.int64), shards=4)
         assert op.counts == Counter()
         assert (led.work, led.depth) == (0, 0)
 
@@ -69,7 +78,7 @@ class TestDegenerateFolds:
         op = _Tally()
         op.ingest(np.arange(5))
         with tracking() as led:
-            merge_partials(op, [], arity=3)
+            assert refold_partials([], arity=3) is None
         assert op.counts == _serial_counts(np.arange(5))
         assert (led.work, led.depth) == (0, 0)
 
@@ -78,7 +87,7 @@ class TestDegenerateFolds:
         (depth 1) — no tree rounds at all."""
         stream = np.arange(24) % 7
         with tracking() as led:
-            op = merge_tree_ingest(_Tally(), stream, shards=1, arity=4)
+            op = _ingest_and_sync(_Tally(), stream, shards=1, arity=4)
         assert op.counts == _serial_counts(stream)
         assert (led.work, led.depth) == (len(stream) + 1, 2)
 
@@ -89,7 +98,7 @@ class TestDegenerateFolds:
         stream = np.arange(60) % 11
         shards = 3
         with tracking() as led:
-            op = merge_tree_ingest(_Tally(), stream, shards=shards, arity=8)
+            op = _ingest_and_sync(_Tally(), stream, shards=shards, arity=8)
         assert op.counts == _serial_counts(stream)
         assert led.work == len(stream) + shards  # S−1 group merges + adoption
         assert led.depth == 1 + (shards - 1) + 1
@@ -100,33 +109,44 @@ class TestDegenerateFolds:
         the adoption merge."""
         stream = np.arange(80) % 13
         with tracking() as led:
-            op = merge_tree_ingest(_Tally(), stream, shards=4, arity=2)
+            op = _ingest_and_sync(_Tally(), stream, shards=4, arity=2)
         assert op.counts == _serial_counts(stream)
         assert led.work == len(stream) + 4  # 2+1 group merges + adoption
         assert led.depth == 1 + 1 + 1 + 1  # leaves + 2 rounds + adoption
 
     def test_shards_smaller_than_batch_never_produce_empty_leaves(self):
         """More shards than items: array_split pads with empty chunks,
-        which the leaf phase must drop, landing in the S≤1 fold paths."""
-        stream = np.asarray([5])
-        parts = shard_partials(_Tally(), stream, shards=8)
-        assert len(parts) == 1
-        op = merge_tree_ingest(_Tally(), stream, shards=8, arity=2)
+        whose shards stay idle, so only one partial carries state into
+        the fold."""
+        op = _Tally()
+        ingestor = ElasticShardedIngestor(op, shards=8)
+        ingestor.ingest(np.asarray([5]))
+        assert ingestor.rescale(4).folded == 1
         assert op.counts == Counter({5: 1})
+
+    def test_idle_shards_are_not_folded(self):
+        """S=8 over one item: the leaf ingest (1, 1) and the adoption
+        merge (1, 1).  The seven idle shards add no tree rounds."""
+        ingestor = ElasticShardedIngestor(_Tally(), shards=8, arity=2)
+        with tracking() as led:
+            ingestor.ingest(np.asarray([5]))
+            op = ingestor.sync()
+        assert op.counts == Counter({5: 1})
+        assert (led.work, led.depth) == (2, 2)
 
 
 class TestValidation:
     def test_bad_arity(self):
         with pytest.raises(ValueError, match="arity must be >= 2"):
-            merge_partials(_Tally(), [_Tally()], arity=1)
+            refold_partials([_Tally()], arity=1)
 
     def test_bad_shards(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
-            shard_partials(_Tally(), np.arange(4), shards=0)
+            ElasticShardedIngestor(_Tally(), shards=0)
 
     def test_requires_mergeable(self):
         with pytest.raises(TypeError, match="mergeable"):
-            merge_partials(object(), [])
+            ElasticShardedIngestor(object(), shards=1)
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +156,26 @@ def _cms():
     return registry.get("ParallelCountMin").build()
 
 
+def _partials(batch, shards):
+    """One fresh-clone partial per contiguous shard of ``batch``."""
+    parts = []
+    for shard in np.array_split(batch, shards):
+        part = _cms().fresh_clone()
+        part.ingest(shard)
+        parts.append(part)
+    return parts
+
+
 class TestMergeTree:
     def test_tree_state_matches_flat_fold_and_serial_ingest(self):
         batch = zipf_stream(8_192, 256, 1.1, rng=11)
         serial = _cms()
         serial.ingest(batch)
-        flat = shard_ingest(_cms(), batch, shards=16)
-        tree = shard_ingest(_cms(), batch, shards=16, arity=2)
+        flat = _cms()
+        for part in _partials(batch, 16):
+            flat.merge(part)
+        tree = _cms()
+        tree.merge(refold_partials(_partials(batch, 16), arity=2))
         assert np.array_equal(serial.table, flat.table)
         assert np.array_equal(serial.table, tree.table)
         assert dumps(flat.state_dict()) == dumps(tree.state_dict())
@@ -153,7 +186,7 @@ class TestMergeTree:
         and sits strictly below the flat fold's Θ(S) for larger S."""
         batch = zipf_stream(8_192, 256, 1.1, rng=12)
         shards = 16
-        partials = shard_partials(_cms(), batch, shards=shards)
+        partials = _partials(batch, shards)
 
         def fold_depth(fold):
             op = _cms()
@@ -166,9 +199,8 @@ class TestMergeTree:
                 op.merge(pickle.loads(pickle.dumps(part)))
 
         def tree_fold(op):
-            merge_partials(
-                op, [pickle.loads(pickle.dumps(p)) for p in partials], arity=arity
-            )
+            copies = [pickle.loads(pickle.dumps(p)) for p in partials]
+            op.merge(refold_partials(copies, arity=arity))
 
         flat, tree = fold_depth(flat_fold), fold_depth(tree_fold)
         rounds = math.ceil(math.log(shards, arity))
@@ -178,23 +210,25 @@ class TestMergeTree:
 
     def test_backend_choice_does_not_change_state(self):
         batch = zipf_stream(4_096, 128, 1.2, rng=13)
-        serial = merge_tree_ingest(_cms(), batch, shards=8, arity=2)
-        threaded = merge_tree_ingest(
-            _cms(), batch, shards=8, arity=2, backend=ThreadBackend(4)
+        serial = _ingest_and_sync(_cms(), batch, shards=8, arity=2)
+        threaded = ElasticShardedIngestor(
+            _cms(), shards=8, arity=2, backend=ThreadBackend(4)
         )
+        threaded.ingest(batch)
+        threaded = threaded.sync()
         assert dumps(serial.state_dict()) == dumps(threaded.state_dict())
 
     def test_arity_validated(self):
         with pytest.raises(ValueError, match="arity"):
-            merge_partials(_cms(), [], arity=1)
+            ElasticShardedIngestor(_cms(), shards=2, arity=1)
 
     def test_non_mergeable_rejected(self):
         op = registry.get("DGIMCounter").build()
         with pytest.raises(TypeError, match="mergeable"):
-            merge_tree_ingest(op, np.ones(16, dtype=np.int64), shards=4)
+            ElasticShardedIngestor(op, shards=4)
 
     def test_empty_partials_leave_op_unchanged(self):
         op = _cms()
         before = dumps(op.state_dict())
-        merge_partials(op, [])
+        ElasticShardedIngestor(op, shards=4).sync()
         assert dumps(op.state_dict()) == before
